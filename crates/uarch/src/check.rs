@@ -220,6 +220,18 @@ impl<I: UopSource> Pipeline<I> {
         result.err().map(|what| self.invariant_error(what))
     }
 
+    /// The first cycle an idle skip starting at cycle `from` must not jump
+    /// past: one after the next full-structure scan, so the skip lands on
+    /// the scan cycle and `verify_cycle` runs the scan there on the
+    /// (unchanged) idle state. `u64::MAX` without a checker.
+    pub(crate) fn scan_horizon(&self, from: u64) -> u64 {
+        if self.checking() {
+            from.next_multiple_of(SCAN_PERIOD) + 1
+        } else {
+            u64::MAX
+        }
+    }
+
     /// O(1) occupancy checks every cycle; full accounting scans every
     /// `SCAN_PERIOD` cycles.
     fn structural_violation(&self) -> Option<String> {

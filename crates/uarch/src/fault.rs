@@ -315,6 +315,17 @@ impl FaultInjector {
         Self::period_due(self.cfg.spurious_flush_period, now)
     }
 
+    /// The first cycle after `now` on which a periodic fault is due
+    /// (`u64::MAX` when no period is configured).
+    pub(crate) fn next_period_due(&self, now: u64) -> u64 {
+        [self.cfg.uch_evict_period, self.cfg.spurious_flush_period]
+            .into_iter()
+            .filter(|&p| p != 0)
+            .map(|p| (now / p + 1) * p)
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
     /// A random restart point in `[lo, hi)`.
     pub(crate) fn pick_restart(&mut self, lo: u64, hi: u64) -> u64 {
         self.rng.gen_range(lo..hi)
@@ -432,6 +443,22 @@ mod tests {
         assert!(!inj.spurious_flush_due(2048), "flush mode is off");
         let off = FaultInjector::new(FaultConfig::default());
         assert!(!off.uch_evict_due(0) || off.cfg.uch_evict_period != 0);
+    }
+
+    #[test]
+    fn next_period_due_is_the_first_due_cycle_after_now() {
+        let inj = FaultInjector::new(FaultConfig::chaos(0)); // 1024 / 2048
+        assert_eq!(inj.next_period_due(0), 1024);
+        assert_eq!(inj.next_period_due(1023), 1024);
+        assert_eq!(inj.next_period_due(1024), 2048);
+        for now in [1u64, 1500, 4095, 4096, 9999] {
+            let due = inj.next_period_due(now);
+            assert!(due > now);
+            assert!(inj.uch_evict_due(due) || inj.spurious_flush_due(due));
+            assert!((now + 1..due).all(|c| !inj.uch_evict_due(c) && !inj.spurious_flush_due(c)));
+        }
+        let off = FaultInjector::new(FaultConfig::suppress(0));
+        assert_eq!(off.next_period_due(77), u64::MAX);
     }
 
     #[test]

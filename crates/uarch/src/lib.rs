@@ -65,7 +65,7 @@ pub use fault::{CellChaos, CellFault, FaultConfig, FaultInjector};
 pub use memdep::StoreSets;
 pub use obs::{Histogram, ObsOpts, Observer, StatEntry, StatValue, StatsRegistry, Unit, UopRec};
 pub use pipeline::Pipeline;
-pub use stats::{DispatchStall, SimStats};
+pub use stats::SimStats;
 pub use uop::{AqEntry, CatalystHazards, DynUop, FuClass, Fused};
 pub use window::TraceWindow;
 

@@ -105,9 +105,19 @@ impl Histogram {
     /// Records one sample.
     #[inline]
     pub fn record(&mut self, v: u64) {
-        self.buckets[Self::bucket_of(v)] += 1;
-        self.count += 1;
-        self.sum += v;
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` samples of the same value `v` — identical to calling
+    /// [`Histogram::record`] `n` times.
+    #[inline]
+    pub fn record_n(&mut self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[Self::bucket_of(v)] += n;
+        self.count += n;
+        self.sum += v * n;
         self.min = self.min.min(v);
         self.max = self.max.max(v);
     }
@@ -430,6 +440,22 @@ mod tests {
             vec![(0, 1), (1, 2), (2, 2), (4, 2), (8, 1), (512, 1)]
         );
         assert!((h.mean() - 1026.0 / 9.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn record_n_equals_repeated_record() {
+        let (mut bulk, mut single) = (Histogram::new(), Histogram::new());
+        for (v, n) in [(0, 3), (5, 0), (7, 1), (1000, 250), (7, 4), (1 << 40, 2)] {
+            bulk.record_n(v, n);
+            for _ in 0..n {
+                single.record(v);
+            }
+        }
+        assert_eq!(bulk, single);
+        // Zero samples leave an empty histogram empty (min/max untouched).
+        let mut empty = Histogram::new();
+        empty.record_n(42, 0);
+        assert_eq!(empty, Histogram::new());
     }
 
     #[test]

@@ -295,13 +295,19 @@ impl Observer {
         }
     }
 
-    /// End-of-cycle structure occupancy sample.
+    /// End-of-cycle structure occupancy sample, taken once per cycle for
+    /// `cycles` cycles with unchanged occupancy (more than one for a
+    /// skipped idle stretch).
     #[inline]
-    pub(crate) fn sample_occupancy(&mut self, rob: usize, iq: usize, lq: usize, sq: usize) {
-        self.occ_rob.record(rob as u64);
-        self.occ_iq.record(iq as u64);
-        self.occ_lq.record(lq as u64);
-        self.occ_sq.record(sq as u64);
+    pub(crate) fn sample_occupancy(
+        &mut self,
+        (rob, iq, lq, sq): (usize, usize, usize, usize),
+        cycles: u64,
+    ) {
+        self.occ_rob.record_n(rob as u64, cycles);
+        self.occ_iq.record_n(iq as u64, cycles);
+        self.occ_lq.record_n(lq as u64, cycles);
+        self.occ_sq.record_n(sq as u64, cycles);
     }
 
     fn rec_mut(&mut self, rec: u32) -> Option<&mut UopRec> {

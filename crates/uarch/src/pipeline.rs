@@ -212,10 +212,24 @@ pub(crate) struct TailUndo {
     pub prev: Option<u64>,
 }
 
+/// A run of provably idle cycles, `now + 1 ..= until` (see
+/// `Pipeline::idle_stretch`).
+struct IdleStretch {
+    /// Last idle cycle: the clock jumps here.
+    until: u64,
+    /// Fetch is stalled on a redirect (counted per cycle); otherwise it is
+    /// idle behind a full AQ.
+    fetch_stalled: bool,
+    /// The resource Rename/Dispatch is blocked on each cycle; `None` means
+    /// the AQ is empty.
+    dispatch: Option<crate::rename::AllocBlock>,
+}
+
 /// The pipeline simulator.
 ///
-/// Drive it with [`Pipeline::run`] (or [`Pipeline::cycle`] for fine-grained
-/// control) and read the results from [`Pipeline::stats`].
+/// Drive it with [`Pipeline::try_run`] or [`Pipeline::try_run_deadline`]
+/// (or [`Pipeline::cycle`] for fine-grained, one-cycle-at-a-time control)
+/// and read the results from [`Pipeline::stats`].
 pub struct Pipeline<I> {
     pub(crate) cfg: PipeConfig,
     pub(crate) window: TraceWindow<I>,
@@ -527,18 +541,24 @@ impl<I: UopSource> Pipeline<I> {
             if self.fault.is_some() {
                 self.apply_cycle_faults();
             }
-            if self.obs.is_some() {
-                let (rob, iq, lq, sq) =
-                    (self.rob.len(), self.iq_len, self.lq.len(), self.sq.len());
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.sample_occupancy(rob, iq, lq, sq);
-                }
-            }
+            self.sample_occupancy(1);
         });
         if PROF {
             self.prof = prof;
         }
     }
+
+    /// Feeds the observer's occupancy histograms `cycles` end-of-cycle
+    /// samples of the current ROB/IQ/LQ/SQ occupancy.
+    fn sample_occupancy(&mut self, cycles: u64) {
+        if let Some(o) = self.obs.as_deref_mut() {
+            let occ = (self.rob.len(), self.iq_len, self.lq.len(), self.sq.len());
+            o.sample_occupancy(occ, cycles);
+        }
+    }
+
+    /// Cycles Dispatch may starve before the deadlock breaker fires.
+    const DEADLOCK_WINDOW: u64 = 64;
 
     /// Deadlock breaker: a *pending* NCSF'd µ-op cannot issue until its tail
     /// nucleus reaches Rename, but the tail's progress may itself require
@@ -546,9 +566,14 @@ impl<I: UopSource> Pipeline<I> {
     /// dependants commit. When Dispatch starves for a long window while a
     /// pending head is in flight, unfuse the oldest pending pair in place
     /// (repair case 2 machinery) and revive its tail marker.
+    ///
+    /// The ROB scan only runs while the census says a pending head exists
+    /// (`active_pending_ncsf > 0`; the lockstep checker asserts the census
+    /// equals the scan).
     fn break_resource_deadlock(&mut self) {
-        const WINDOW: u64 = 64;
-        if self.now - self.last_dispatch_progress <= WINDOW {
+        if self.active_pending_ncsf == 0
+            || self.now - self.last_dispatch_progress <= Self::DEADLOCK_WINDOW
+        {
             return;
         }
         let Some(i) = self
@@ -623,7 +648,11 @@ impl<I: UopSource> Pipeline<I> {
                     }
                 }
             }
-            self.cycle();
+            let limit = max_cycles.min(last_commit.0.saturating_add(self.cfg.watchdog_cycles));
+            match self.idle_stretch(limit) {
+                Some(idle) => self.skip_idle(idle),
+                None => self.cycle(),
+            }
             if let Some(err) = self.verify_cycle() {
                 self.finalize_stats();
                 return Err(err);
@@ -648,6 +677,88 @@ impl<I: UopSource> Pipeline<I> {
             return Err(err);
         }
         Ok(&self.stats)
+    }
+
+    /// Idle-cycle skipping: whether the next cycle is provably idle — every
+    /// stage gate in [`Pipeline::cycle`] would skip, and Fetch/Decode and
+    /// Misc would change nothing but per-cycle counters — and if so, how
+    /// far the idle stretch reaches. Nothing can change until the horizon:
+    /// the earliest due wakeup event, senior-store drain end, store check,
+    /// flush, fetch resume, deadlock-breaker trigger, periodic fault or
+    /// checker scan, capped by `limit` (the cycle budget or watchdog
+    /// cycle), all of which are stepped by `cycle()` as usual.
+    fn idle_stretch(&self, limit: u64) -> Option<IdleStretch> {
+        let t = self.now + 1;
+        if !self.iq_ready.is_empty()
+            || self.rob.front().is_some_and(|e| self.ready_bit(e.uop.seq))
+            || (self.cfg.fusion.predictive() && !self.uch_queue.is_empty())
+        {
+            return None;
+        }
+        let mut horizon = limit;
+        let dispatch = if self.aq.is_empty() {
+            None
+        } else {
+            if self.active_pending_ncsf > 0 {
+                // With the AQ occupied, a blocked dispatch stops advancing
+                // `last_dispatch_progress`, so the breaker's window runs out.
+                horizon = horizon.min(self.last_dispatch_progress + Self::DEADLOCK_WINDOW + 1);
+            }
+            Some(self.dispatch_blocked()?)
+        };
+        let fetch_stalled = match self.redirect_wait {
+            Some(seq) if self.board.get(seq).is_some() => return None,
+            Some(_) => true,
+            None if t < self.resume_at => {
+                horizon = horizon.min(self.resume_at);
+                true
+            }
+            None if self.aq.len() < self.cfg.aq_size => return None,
+            None => false,
+        };
+        if let Some(&std::cmp::Reverse((c, _))) = self.ready_events.peek() {
+            horizon = horizon.min(c);
+        }
+        if let Some(s) = self.sq.front().filter(|s| s.senior) {
+            // A senior head not yet draining starts this cycle.
+            horizon = horizon.min(s.draining_until?);
+        }
+        for c in &self.store_checks {
+            horizon = horizon.min(c.at_cycle);
+        }
+        for f in &self.pending_flushes {
+            horizon = horizon.min(f.at_cycle);
+        }
+        if let Some(inj) = &self.fault {
+            horizon = horizon.min(inj.next_period_due(self.now));
+        }
+        horizon = horizon.min(self.scan_horizon(t));
+        let until = horizon.checked_sub(1).filter(|&u| u >= t)?;
+        Some(IdleStretch {
+            until,
+            fetch_stalled,
+            dispatch,
+        })
+    }
+
+    /// Jumps the clock over an idle stretch, charging each skipped cycle
+    /// exactly what `cycle()` would have: the fetch-redirect stall, the
+    /// blocked dispatch's stall (or, with the AQ empty, dispatch progress),
+    /// the observer's occupancy samples and the profiler's skip counts.
+    fn skip_idle(&mut self, idle: IdleStretch) {
+        let cycles = idle.until - self.now;
+        self.now = idle.until;
+        if idle.fetch_stalled {
+            self.stats.fetch_stall_redirect += cycles;
+        }
+        match idle.dispatch {
+            Some(b) => self.charge_alloc_stall(b, cycles),
+            None => self.last_dispatch_progress = self.now,
+        }
+        self.sample_occupancy(cycles);
+        if let Some(p) = self.prof.as_deref_mut() {
+            p.idle(cycles, self.cfg.fusion.predictive());
+        }
     }
 
     /// Snapshot of the stuck pipeline for the watchdog report.
@@ -1224,6 +1335,44 @@ mod tests {
         b.set(3 + BOARD_SLOTS as u64, 999, 4);
         assert_eq!(b.get(3 + BOARD_SLOTS as u64), Some(999));
         assert_eq!(b.get(3), None, "old seq no longer matches the slot");
+    }
+
+    /// A strided sweep over a buffer far larger than the caches keeps the
+    /// core waiting on memory: most of its cycles must fall inside idle
+    /// stretches the run loop can jump over, and the jump must reproduce
+    /// the stepped run's statistics.
+    #[test]
+    fn memory_bound_loop_is_mostly_skippable() {
+        use helios_isa::{Asm, Reg};
+        let mut a = Asm::new();
+        let buf = a.zeros(8 << 20, 64);
+        a.la(Reg::S0, buf);
+        a.li(Reg::S1, 1500);
+        a.li(Reg::T0, 4160);
+        let top = a.here();
+        a.ld(Reg::A0, 0, Reg::S0);
+        a.add(Reg::A1, Reg::A1, Reg::A0);
+        a.add(Reg::S0, Reg::S0, Reg::T0);
+        a.addi(Reg::S1, Reg::S1, -1);
+        a.bnez(Reg::S1, top);
+        a.halt();
+        let prog = a.assemble().expect("assembles");
+        let cfg = PipeConfig::with_fusion(helios_core::FusionMode::NoFusion);
+
+        let mut step = Pipeline::new(cfg, helios_emu::RetireStream::new(prog.clone(), 1 << 20));
+        let mut idle = 0u64;
+        while !step.finished() {
+            if step.idle_stretch(u64::MAX).is_some() {
+                idle += 1;
+            }
+            step.cycle();
+        }
+        let cycles = step.cycle_count();
+        assert!(idle * 2 > cycles, "only {idle} of {cycles} cycles idle");
+
+        let stepped = step.try_run(u64::MAX).expect("drained").to_kv();
+        let mut skip = Pipeline::new(cfg, helios_emu::RetireStream::new(prog, 1 << 20));
+        assert_eq!(skip.try_run(u64::MAX).expect("runs").to_kv(), stepped);
     }
 
     #[test]

@@ -96,6 +96,19 @@ impl StageProfile {
     pub fn skip(&mut self, stage: Stage) {
         self.skips[stage as usize] += 1;
     }
+
+    /// Records `cycles` idle cycles the run loop jumped over: each counts
+    /// as a cycle in which every stage was skipped, so per-stage
+    /// `runs + skips` still equals the cycle count. `uch_drain` is false
+    /// for non-predictive modes, whose cycles never touch that stage.
+    pub fn idle(&mut self, cycles: u64, uch_drain: bool) {
+        self.cycles += cycles;
+        for (i, skips) in self.skips.iter_mut().enumerate() {
+            if uch_drain || i != Stage::UchDrain as usize {
+                *skips += cycles;
+            }
+        }
+    }
 }
 
 /// Process-global aggregate across every profiled pipeline run.
@@ -196,5 +209,18 @@ mod tests {
         assert_eq!(issue.runs, 1);
         // Taking drains the aggregate.
         assert!(take_global().is_none());
+    }
+
+    #[test]
+    fn idle_cycles_skip_every_stage() {
+        let mut p = StageProfile::new();
+        p.idle(5, false);
+        p.idle(3, true);
+        assert_eq!(p.cycles, 8);
+        for (i, &skips) in p.skips.iter().enumerate() {
+            let want = if i == Stage::UchDrain as usize { 3 } else { 8 };
+            assert_eq!(skips, want, "{}", STAGE_NAMES[i]);
+        }
+        assert_eq!(p.runs, [0; STAGE_COUNT]);
     }
 }

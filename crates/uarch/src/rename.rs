@@ -3,7 +3,6 @@
 
 use crate::pipeline::{IqEntry, LqEntry, Pipeline, RobEntry, SqEntry, TailUndo, Waiter};
 use crate::uop::{AqEntry, DynUop};
-use crate::DispatchStall;
 use helios_core::{Idiom, RepairCase};
 use helios_emu::{Retired, UopSource};
 
@@ -42,19 +41,36 @@ pub(crate) enum AllocBlock {
     Sq,
 }
 
-impl AllocBlock {
-    fn dispatch_stall(self) -> Option<DispatchStall> {
-        match self {
-            AllocBlock::Phys => None,
-            AllocBlock::Rob => Some(DispatchStall::Rob),
-            AllocBlock::Iq => Some(DispatchStall::Iq),
-            AllocBlock::Lq => Some(DispatchStall::Lq),
-            AllocBlock::Sq => Some(DispatchStall::Sq),
-        }
-    }
-}
-
 impl<I: UopSource> Pipeline<I> {
+    /// Charges `cycles` Rename/Dispatch structural-stall cycles (Fig. 9) to
+    /// the resource `b`: a full PRF is a rename stall, a full ROB/IQ/LQ/SQ
+    /// a dispatch stall.
+    pub(crate) fn charge_alloc_stall(&mut self, b: AllocBlock, cycles: u64) {
+        let s = &mut self.stats;
+        *match b {
+            AllocBlock::Phys => &mut s.rename_stall_cycles,
+            AllocBlock::Rob => &mut s.dispatch_stall_rob,
+            AllocBlock::Iq => &mut s.dispatch_stall_iq,
+            AllocBlock::Lq => &mut s.dispatch_stall_lq,
+            AllocBlock::Sq => &mut s.dispatch_stall_sq,
+        } += cycles;
+    }
+
+    /// The resource blocking the AQ head when this cycle's Rename/Dispatch
+    /// would change nothing but that stall's counter: the head is a µ-op
+    /// (not a tail marker) that fails `check_capacity` without first
+    /// tripping the nest-limit unfuse. `None` when the stage would make
+    /// progress or change state, or the AQ is empty.
+    pub(crate) fn dispatch_blocked(&self) -> Option<AllocBlock> {
+        let Some(AqEntry::Uop(u)) = self.aq.front() else {
+            return None;
+        };
+        if u.is_pending_ncsf() && self.active_pending_ncsf >= self.cfg.helios.max_nest {
+            return None;
+        }
+        self.check_capacity(u).err()
+    }
+
     /// One cycle of Rename + Dispatch over the AQ head.
     pub(crate) fn stage_rename_dispatch(&mut self) {
         let mut budget = self.cfg.rename_width as i64;
@@ -119,10 +135,7 @@ impl<I: UopSource> Pipeline<I> {
             self.last_dispatch_progress = self.now;
         }
         if let Some(b) = block {
-            match b.dispatch_stall() {
-                Some(d) => self.stats.record_dispatch_stall(d),
-                None => self.stats.rename_stall_cycles += 1,
-            }
+            self.charge_alloc_stall(b, 1);
         }
     }
 

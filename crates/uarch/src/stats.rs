@@ -8,15 +8,6 @@
 use crate::obs::{StatsRegistry, Unit};
 use helios_core::{FusionStats, Idiom, RepairCase, ALL_IDIOMS};
 
-/// Why Dispatch could not move a µ-op this cycle.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub enum DispatchStall {
-    Rob,
-    Iq,
-    Lq,
-    Sq,
-}
-
 /// Aggregate statistics for one simulation run.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct SimStats {
@@ -89,16 +80,6 @@ impl SimStats {
             0.0
         } else {
             self.instructions as f64 / self.cycles as f64
-        }
-    }
-
-    /// Records a dispatch stall cycle attributed to `cause`.
-    pub fn record_dispatch_stall(&mut self, cause: DispatchStall) {
-        match cause {
-            DispatchStall::Rob => self.dispatch_stall_rob += 1,
-            DispatchStall::Iq => self.dispatch_stall_iq += 1,
-            DispatchStall::Lq => self.dispatch_stall_lq += 1,
-            DispatchStall::Sq => self.dispatch_stall_sq += 1,
         }
     }
 
@@ -596,9 +577,8 @@ mod tests {
             ..SimStats::default()
         };
         assert!((s.ipc() - 1.5).abs() < 1e-12);
-        s.record_dispatch_stall(DispatchStall::Sq);
-        s.record_dispatch_stall(DispatchStall::Sq);
-        s.record_dispatch_stall(DispatchStall::Rob);
+        s.dispatch_stall_sq = 2;
+        s.dispatch_stall_rob = 1;
         s.rename_stall_cycles = 7;
         assert_eq!(s.dispatch_stalls(), 3);
         assert!((s.stall_pct() - 1.0).abs() < 1e-12);
