@@ -16,7 +16,8 @@
 //! * `--jobs <N>` — simulation worker threads (default: all cores);
 //! * `--cache-dir <dir>` — daemon state directory (default
 //!   `results/sweepd`; `HELIOS_RESULTS_DIR` moves `results/`);
-//! * `--cell-timeout <secs>` — wall-clock budget per cell.
+//! * `--cell-timeout <secs>` — wall-clock budget per cell attempt (cells
+//!   get the local sweep's retry policy).
 //!
 //! SIGINT stops accepting, lets in-flight cells finish, and exits 0 — the
 //! cache journal is fsynced per append, so finished work is durable.

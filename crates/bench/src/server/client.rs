@@ -112,10 +112,16 @@ fn parse_failure(f: &Json) -> Result<CellReport, String> {
         .and_then(Json::as_str)
         .and_then(FusionMode::parse)
         .ok_or("failure missing a known `mode`")?;
+    // Daemons predating the field made exactly one attempt.
+    let attempts = f
+        .get("attempts")
+        .and_then(Json::as_u64)
+        .and_then(|n| u32::try_from(n).ok())
+        .unwrap_or(1);
     let outcome = match f.get("kind").and_then(Json::as_str) {
         Some("timed_out") => CellOutcome::TimedOut {
             limit_ms: f.get("limit_ms").and_then(Json::as_u64).unwrap_or(0),
-            attempts: 1,
+            attempts,
         },
         Some("failed") => CellOutcome::Failed {
             error: f
@@ -123,7 +129,7 @@ fn parse_failure(f: &Json) -> Result<CellReport, String> {
                 .and_then(Json::as_str)
                 .unwrap_or("unknown server-side failure")
                 .to_string(),
-            attempts: 1,
+            attempts,
         },
         other => return Err(format!("failure with unknown kind {other:?}")),
     };

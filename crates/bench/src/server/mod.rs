@@ -2,7 +2,7 @@
 //! §17).
 //!
 //! One long-lived process owns the expensive shared state — a
-//! content-addressed [`TraceStore`] and a persistent [`ResultCache`] keyed
+//! content-addressed [`TraceStore`] and a persistent [`ResultStore`] keyed
 //! by `(trace digest, config digest, ISA version)` — and serves sweep
 //! requests from the figure binaries over a hand-rolled HTTP/1.1 endpoint
 //! (`std::net` only, like everything else in this workspace):
@@ -14,11 +14,12 @@
 //!   cell, then a final `done` event carrying every cell's stats and every
 //!   quarantined cell's outcome.
 //!
-//! Cells already in the cache are answered without simulating; fresh cells
-//! run through the same [`SimRequest`] entrypoint the local executor uses
-//! and are appended to the cache on success. Failures and timeouts are
-//! reported with the local executor's [`CellOutcome`] vocabulary and are
-//! never cached — they must stay retryable.
+//! Every cell runs through [`helios::run_cell`], the local sweep's own cell
+//! executor: cells already in the store are answered without simulating;
+//! fresh cells get the local retry policy and are appended to the store on
+//! success. Failures and timeouts carry the same [`CellOutcome`] a local
+//! sweep would quarantine, and are never stored — they must stay
+//! retryable.
 //!
 //! **Fairness.** Jobs from concurrent clients are not FIFO: a worker
 //! claims its next cell from jobs in round-robin order, so a late `--quick`
@@ -27,31 +28,28 @@
 //!
 //! **Failure semantics.** A client disconnect cancels its job: the next
 //! event send fails, the job's remaining cells are dropped from the queue,
-//! and in-flight cells finish (and still populate the cache) but go
+//! and in-flight cells finish (and still populate the store) but go
 //! nowhere. Daemon shutdown (SIGINT or [`Server::stop`]) stops accepting,
-//! lets in-flight cells finish, and exits cleanly — the cache journal is
-//! fsynced per append, so nothing already reported is ever lost.
+//! lets in-flight cells finish, and exits cleanly — the store is fsynced
+//! per append, so nothing already reported is ever lost.
 
-pub mod cache;
 pub mod client;
 pub mod http;
 
 use std::collections::VecDeque;
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use helios::{
-    workload, FusionMode, Json, PipeConfig, SimError, SimRequest, SimStats, TraceStore, Workload,
+    run_cell, workload, CellOutcome, FusionMode, Json, ResultStore, SweepPolicy, TraceStore,
+    Workload,
 };
-
-use cache::{CellKey, ResultCache};
 
 /// Schema tag on every streamed response line.
 pub const EVENT_SCHEMA: &str = "helios-sweepd-v1";
@@ -69,10 +67,11 @@ pub struct ServerConfig {
     /// Simulation worker threads.
     pub jobs: usize,
     /// Directory holding the daemon's state: `results.jsonl` (the result
-    /// cache journal) and `traces/` (the trace store).
+    /// store) and `traces/` (the trace store).
     pub cache_dir: PathBuf,
-    /// Wall-clock budget per cell (`None` = unbounded; the watchdog and
-    /// cycle budget still bound runaway cells in simulated time).
+    /// Wall-clock budget per cell attempt (`None` = unbounded; the
+    /// watchdog and cycle budget still bound runaway cells in simulated
+    /// time).
     pub cell_timeout: Option<Duration>,
 }
 
@@ -92,16 +91,9 @@ impl Default for ServerConfig {
 struct CellEvent {
     workload: &'static str,
     mode: FusionMode,
-    kind: CellDone,
-}
-
-enum CellDone {
-    /// Simulated (or cache-answered) successfully.
-    Ok { stats: Box<SimStats>, cached: bool },
-    /// Failed (panic, deadlock, blown cycle budget, recording error).
-    Failed { error: String },
-    /// Blew the per-cell wall-clock budget.
-    TimedOut { limit_ms: u64 },
+    outcome: CellOutcome,
+    /// Answered from the result store rather than simulated.
+    from_store: bool,
 }
 
 /// A queued sweep job: the cells still to claim plus the channel back to
@@ -124,9 +116,9 @@ struct Sched {
 struct Shared {
     sched: Mutex<Sched>,
     work_ready: Condvar,
-    cache: Mutex<ResultCache>,
-    store: TraceStore,
-    cell_timeout: Option<Duration>,
+    results: ResultStore,
+    traces: TraceStore,
+    policy: SweepPolicy,
     stop: AtomicBool,
     next_job: AtomicU64,
     sweeps_served: AtomicU64,
@@ -189,61 +181,6 @@ impl Shared {
             sched.rr = 0;
         }
     }
-
-    /// Runs one cell: cache lookup first, then record/replay + simulate.
-    fn run_cell(&self, w: &Workload, mode: FusionMode) -> CellDone {
-        let cfg = PipeConfig::with_fusion(mode);
-        let key = CellKey {
-            trace: TraceStore::digest(&w.program),
-            cfg: cfg.digest(),
-        };
-        if let Some(stats) = self.cache.lock().expect("cache lock poisoned").get(key) {
-            self.cells_cached.fetch_add(1, Ordering::Relaxed);
-            return CellDone::Ok {
-                stats: Box::new(stats.clone()),
-                cached: true,
-            };
-        }
-        let trace = match w.stored(&self.store) {
-            Ok(t) => t,
-            Err(e) => {
-                return CellDone::Failed {
-                    error: format!("trace store: {e}"),
-                }
-            }
-        };
-        let deadline = self.cell_timeout.map(|d| Instant::now() + d);
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            SimRequest::new(w, cfg)
-                .replaying(&trace)
-                .with_deadline(deadline)
-                .try_run()
-        }));
-        match outcome {
-            Ok(Ok(run)) => {
-                self.cells_simulated.fetch_add(1, Ordering::Relaxed);
-                let mut cache = self.cache.lock().expect("cache lock poisoned");
-                if let Err(e) = cache.put(key, w.name, mode.name(), &run.stats) {
-                    // A cache write failure costs a future re-simulation,
-                    // never a wrong answer — warn and serve the result.
-                    eprintln!("warning: sweepd: {e}");
-                }
-                CellDone::Ok {
-                    stats: Box::new(run.stats),
-                    cached: false,
-                }
-            }
-            Ok(Err(SimError::WallClockTimeout { limit_ms, .. })) => {
-                CellDone::TimedOut { limit_ms }
-            }
-            Ok(Err(e)) => CellDone::Failed {
-                error: e.to_string(),
-            },
-            Err(payload) => CellDone::Failed {
-                error: format!("panic: {}", helios::panic_message(&*payload)),
-            },
-        }
-    }
 }
 
 fn worker_loop(shared: Arc<Shared>) {
@@ -251,13 +188,30 @@ fn worker_loop(shared: Arc<Shared>) {
         if claim.cancelled.load(Ordering::Relaxed) {
             continue;
         }
-        let kind = shared.run_cell(&claim.workload, claim.mode);
+        let w = &claim.workload;
+        let (outcome, from_store) = run_cell(
+            w,
+            claim.mode,
+            &shared.policy,
+            None,
+            Some(&shared.results),
+            || {
+                w.stored(&shared.traces)
+                    .map_err(|e| format!("recording {}: {e}", w.name))
+            },
+        );
+        if from_store {
+            shared.cells_cached.fetch_add(1, Ordering::Relaxed);
+        } else if matches!(outcome, CellOutcome::Ok(_)) {
+            shared.cells_simulated.fetch_add(1, Ordering::Relaxed);
+        }
         // A failed send means the handler is gone (client disconnect after
-        // abort_job raced the claim); the result is already in the cache.
+        // abort_job raced the claim); a stored result is already durable.
         let _ = claim.tx.send(CellEvent {
-            workload: claim.workload.name,
+            workload: w.name,
             mode: claim.mode,
-            kind,
+            outcome,
+            from_store,
         });
     }
 }
@@ -271,7 +225,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds the listener, opens (or creates) the cache journal and trace
+    /// Binds the listener, opens (or creates) the result store and trace
     /// store under `config.cache_dir`, and starts the worker pool.
     pub fn bind(config: &ServerConfig) -> Result<Server, String> {
         let listener = TcpListener::bind(&config.addr)
@@ -279,14 +233,10 @@ impl Server {
         listener
             .set_nonblocking(true)
             .map_err(|e| format!("set_nonblocking: {e}"))?;
-        let cache = ResultCache::open(&config.cache_dir.join("results.jsonl"))?;
-        if cache.skipped() > 0 {
-            eprintln!(
-                "warning: sweepd: skipped {} stale/malformed cache line(s)",
-                cache.skipped()
-            );
-        }
-        let store = TraceStore::open(config.cache_dir.join("traces"))
+        let path = config.cache_dir.join("results.jsonl");
+        let results = ResultStore::open(&path)
+            .map_err(|e| format!("result store {}: {e}", path.display()))?;
+        let traces = TraceStore::open(config.cache_dir.join("traces"))
             .map_err(|e| format!("trace store: {e}"))?;
         let shared = Arc::new(Shared {
             sched: Mutex::new(Sched {
@@ -294,9 +244,12 @@ impl Server {
                 rr: 0,
             }),
             work_ready: Condvar::new(),
-            cache: Mutex::new(cache),
-            store,
-            cell_timeout: config.cell_timeout,
+            results,
+            traces,
+            policy: SweepPolicy {
+                cell_timeout: config.cell_timeout,
+                ..SweepPolicy::default()
+            },
             stop: AtomicBool::new(false),
             next_job: AtomicU64::new(0),
             sweeps_served: AtomicU64::new(0),
@@ -411,11 +364,13 @@ fn parse_sweep_request(body: &[u8]) -> Result<SweepRequest, String> {
 }
 
 fn status_json(shared: &Shared) -> Json {
-    let cache = shared.cache.lock().expect("cache lock poisoned");
     Json::Obj(vec![
         ("schema".to_string(), Json::Str(EVENT_SCHEMA.to_string())),
         ("status".to_string(), Json::Str("ok".to_string())),
-        ("cached_cells".to_string(), Json::Num(cache.len() as f64)),
+        (
+            "cached_cells".to_string(),
+            Json::Num(shared.results.len() as f64),
+        ),
         (
             "sweeps_served".to_string(),
             Json::Num(shared.sweeps_served.load(Ordering::Relaxed) as f64),
@@ -514,16 +469,16 @@ fn serve_sweep(shared: &Shared, writer: &mut impl Write, req: &SweepRequest) {
             // the client reports the missing `done` event as an error.
             return;
         };
-        let source = match &event.kind {
-            CellDone::Ok { cached: true, .. } => {
+        let source = match (&event.outcome, event.from_store) {
+            (_, true) => {
                 cache_hits += 1;
                 "cache"
             }
-            CellDone::Ok { cached: false, .. } => {
+            (CellOutcome::Ok(_), false) => {
                 simulated += 1;
                 "sim"
             }
-            CellDone::Failed { .. } | CellDone::TimedOut { .. } => "error",
+            _ => "error",
         };
         let progress = Json::Obj(vec![
             ("schema".to_string(), Json::Str(EVENT_SCHEMA.to_string())),
@@ -539,34 +494,39 @@ fn serve_sweep(shared: &Shared, writer: &mut impl Write, req: &SweepRequest) {
             shared.abort_job(job_id);
             return;
         }
-        match event.kind {
-            CellDone::Ok { stats, .. } => cells.push(Json::Obj(vec![
-                ("workload".to_string(), Json::Str(event.workload.to_string())),
-                ("mode".to_string(), Json::Str(event.mode.name().to_string())),
-                (
-                    "stats".to_string(),
-                    Json::Obj(
-                        stats
-                            .to_kv()
-                            .into_iter()
-                            .map(|(k, v)| (k, Json::Num(v as f64)))
-                            .collect(),
-                    ),
-                ),
-            ])),
-            CellDone::Failed { error } => failures.push(Json::Obj(vec![
-                ("workload".to_string(), Json::Str(event.workload.to_string())),
-                ("mode".to_string(), Json::Str(event.mode.name().to_string())),
-                ("kind".to_string(), Json::Str("failed".to_string())),
-                ("error".to_string(), Json::Str(error)),
-            ])),
-            CellDone::TimedOut { limit_ms } => failures.push(Json::Obj(vec![
-                ("workload".to_string(), Json::Str(event.workload.to_string())),
-                ("mode".to_string(), Json::Str(event.mode.name().to_string())),
-                ("kind".to_string(), Json::Str("timed_out".to_string())),
-                ("limit_ms".to_string(), Json::Num(limit_ms as f64)),
-            ])),
-        }
+        let mut entry = vec![
+            (
+                "workload".to_string(),
+                Json::Str(event.workload.to_string()),
+            ),
+            ("mode".to_string(), Json::Str(event.mode.name().to_string())),
+        ];
+        let (kind, detail, attempts) = match event.outcome {
+            CellOutcome::Ok(stats) => {
+                let kv = stats
+                    .to_kv()
+                    .into_iter()
+                    .map(|(k, v)| (k, Json::Num(v as f64)));
+                entry.push(("stats".to_string(), Json::Obj(kv.collect())));
+                cells.push(Json::Obj(entry));
+                continue;
+            }
+            CellOutcome::Failed { error, attempts } => {
+                ("failed", ("error", Json::Str(error)), attempts)
+            }
+            CellOutcome::TimedOut { limit_ms, attempts } => (
+                "timed_out",
+                ("limit_ms", Json::Num(limit_ms as f64)),
+                attempts,
+            ),
+            CellOutcome::Skipped => unreachable!("run_cell attempts every cell it is given"),
+        };
+        entry.extend([
+            ("kind".to_string(), Json::Str(kind.to_string())),
+            (detail.0.to_string(), detail.1),
+            ("attempts".to_string(), Json::Num(f64::from(attempts))),
+        ]);
+        failures.push(Json::Obj(entry));
     }
     shared.sweeps_served.fetch_add(1, Ordering::Relaxed);
     let done = Json::Obj(vec![

@@ -6,8 +6,12 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
+use std::time::Duration;
 
-use helios::{FusionMode, Json, SimRequest, Workload};
+use helios::{
+    run_sweep_opts, Checkpoint, FusionMode, Json, SimRequest, Sweep, SweepOptions, SweepPolicy,
+    Workload,
+};
 use helios_bench::server::client::remote_sweep_with_summary;
 use helios_bench::server::{Server, ServerConfig};
 
@@ -28,12 +32,16 @@ struct Daemon {
 
 impl Daemon {
     fn start(cache_dir: &Path) -> Daemon {
+        Daemon::with_timeout(cache_dir, None)
+    }
+
+    fn with_timeout(cache_dir: &Path, cell_timeout: Option<Duration>) -> Daemon {
         let server = Arc::new(
             Server::bind(&ServerConfig {
                 addr: "127.0.0.1:0".to_string(),
                 jobs: 2,
                 cache_dir: cache_dir.to_path_buf(),
-                cell_timeout: None,
+                cell_timeout,
             })
             .expect("bind ephemeral port"),
         );
@@ -96,6 +104,74 @@ fn remote_sweep_matches_local_and_resubmission_hits_the_cache() {
         for &mode in &modes {
             assert_eq!(again.get(w.name, mode), sweep.get(w.name, mode));
         }
+    }
+}
+
+/// The daemon runs cells through the local executor, so a quarantined cell
+/// reads the same either way — same outcome, same attempt count.
+#[test]
+fn remote_quarantines_match_local_ones() {
+    let dir = scratch("quarantine");
+    let (workloads, modes) = grid();
+    let daemon = Daemon::with_timeout(&dir, Some(Duration::ZERO));
+    let (remote, summary) =
+        remote_sweep_with_summary(&daemon.url, &workloads, &modes).expect("remote sweep");
+    assert_eq!((summary.simulated, summary.cache_hits), (0, 0));
+    let local = run_sweep_opts(
+        &workloads,
+        &modes,
+        &SweepOptions {
+            jobs: 2,
+            policy: SweepPolicy {
+                cell_timeout: Some(Duration::ZERO),
+                ..SweepPolicy::default()
+            },
+            ..SweepOptions::default()
+        },
+    )
+    .expect("local sweep");
+    let describe = |s: &Sweep| -> Vec<(&str, FusionMode, String)> {
+        s.failures()
+            .iter()
+            .map(|f| (f.workload, f.mode, f.outcome.describe()))
+            .collect()
+    };
+    assert_eq!(describe(&remote).len(), 4);
+    assert_eq!(describe(&remote), describe(&local));
+    assert_eq!(
+        describe(&remote)[0].2,
+        "timed out after 2 attempt(s) (0 ms budget)"
+    );
+}
+
+/// A local sweep's checkpoint and the daemon's result cache are one store
+/// format: a daemon over the directory holding a local checkpoint answers
+/// every cell from it.
+#[test]
+fn a_local_checkpoint_serves_as_the_daemon_store() {
+    let dir = scratch("ckpt");
+    let (workloads, modes) = grid();
+    let local = run_sweep_opts(
+        &workloads,
+        &modes,
+        &SweepOptions {
+            jobs: 2,
+            checkpoint: Some(Checkpoint {
+                path: dir.join("results.jsonl"),
+                resume: false,
+            }),
+            ..SweepOptions::default()
+        },
+    )
+    .expect("local sweep");
+    assert!(local.is_complete());
+
+    let daemon = Daemon::start(&dir);
+    let (remote, summary) =
+        remote_sweep_with_summary(&daemon.url, &workloads, &modes).expect("remote sweep");
+    assert_eq!((summary.cache_hits, summary.simulated), (4, 0));
+    for r in local.results() {
+        assert_eq!(remote.get(r.workload, r.mode), Some(&r.stats));
     }
 }
 

@@ -281,4 +281,42 @@ grep -q "shut down cleanly" "$serve_log" || {
 }
 echo "server smoke: cold 48 simulated, warm 48 cached, stdout+artifact byte-identical, clean shutdown"
 
+echo "==> server smoke: a local checkpoint is a sweepd result store"
+# Local sweeps and sweepd share one result-store format: a daemon whose
+# store is a copy of the last local fig10 --quick checkpoint must answer
+# all 48 cells from it and print the local run's stdout byte for byte.
+ckpt_dir="$scratch/sweepd-ckpt"
+rm -rf "$ckpt_dir"
+mkdir -p "$ckpt_dir"
+cp "$scratch/fig10.ckpt.jsonl" "$ckpt_dir/results.jsonl"
+target/release/serve --addr 127.0.0.1:0 --cache-dir "$ckpt_dir" --jobs 2 2> "$serve_log" &
+serve_pid=$!
+url=""
+for _ in $(seq 1 100); do
+    url=$(sed -n 's/^sweepd: listening on //p' "$serve_log")
+    [ -n "$url" ] && break
+    sleep 0.1
+done
+set +e
+HELIOS_BENCH_STABLE=1 "${fig10[@]}" --server "$url" > "$scratch/server_ckpt.out" 2> "$scratch/server_ckpt.err"
+ckpt_rc=$?
+kill -INT "$serve_pid"
+wait "$serve_pid"
+set -e
+rm -f BENCH_sweep.json
+if [ -z "$url" ] || [ "$ckpt_rc" -ne 0 ]; then
+    echo "ci: FAIL — fig10 --server over a checkpoint-seeded sweepd failed (exit $ckpt_rc)" >&2
+    exit 1
+fi
+grep -q "server cache: 48 hits, 0 simulated" "$scratch/server_ckpt.err" || {
+    echo "ci: FAIL — sweepd did not answer every cell from the local checkpoint:" >&2
+    grep "server cache:" "$scratch/server_ckpt.err" >&2 || true
+    exit 1
+}
+cmp "$scratch/ref.out" "$scratch/server_ckpt.out" || {
+    echo "ci: FAIL — checkpoint-seeded fig10 --server stdout differs from the local run" >&2
+    exit 1
+}
+echo "server smoke: local checkpoint served 48 cached cells, stdout byte-identical"
+
 echo "ci: all green"

@@ -1,9 +1,9 @@
 //! Running (workload × configuration) simulations: the parallel,
 //! trace-reusing, fault-isolating sweep engine.
 //!
-//! Every figure and table is driven by [`run_sweep_opts`] (or its thin
-//! wrappers [`run_sweep`] / [`run_sweep_jobs`]). Two properties keep it fast
-//! without changing any result:
+//! Every figure and table is driven by [`run_sweep_opts`], and every cell —
+//! local or served by `sweepd` — runs through [`run_cell`]. Two properties
+//! keep it fast without changing any result:
 //!
 //! * **Record once, replay many** — each workload's functional execution is
 //!   recorded once into a shared [`Trace`]; all fusion modes replay the
@@ -25,12 +25,13 @@
 //!   reports can annotate them and exit codes can distinguish a partial
 //!   sweep from a complete one.
 //! * **Crash-safe checkpointing** — with a [`Checkpoint`] attached, every
-//!   finished cell is appended to a JSONL journal and fsynced before the
-//!   sweep moves on, keyed by `(workload, PipeConfig::digest)`. A killed
-//!   sweep resumed with [`Checkpoint::resume`] replays finished cells from
-//!   the journal and only simulates the rest; the merged result is
+//!   finished cell is appended to a [`ResultStore`] and fsynced before the
+//!   sweep moves on, keyed by `(trace digest, PipeConfig::digest)`. A killed
+//!   sweep resumed with [`Checkpoint::resume`] answers finished cells from
+//!   the store and only simulates the rest; the merged result is
 //!   byte-identical to an uninterrupted run.
 
+use crate::store::{CellKey, ResultStore};
 use helios_core::FusionMode;
 use helios_emu::{StoreStats, Trace, TraceStore, UopSource};
 use helios_uarch::{
@@ -39,9 +40,9 @@ use helios_uarch::{
 };
 use helios_workloads::Workload;
 use std::collections::{BTreeMap, HashMap};
-use std::io::{self, Write};
+use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -320,13 +321,15 @@ impl Default for SweepPolicy {
     }
 }
 
-/// Checkpoint journal configuration for [`run_sweep_opts`].
+/// Checkpoint configuration for [`run_sweep_opts`]: the [`ResultStore`]
+/// finished cells are appended to.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
-    /// Journal file (conventionally `results/<id>.ckpt.jsonl`).
+    /// Store file (conventionally `results/<id>.ckpt.jsonl`; a `sweepd`
+    /// cache directory's `results.jsonl` is the same format).
     pub path: PathBuf,
-    /// `true`: restore finished cells from an existing journal and append
-    /// to it. `false`: start fresh, truncating any prior journal.
+    /// `true`: answer cells already in the store from it and append to it.
+    /// `false`: start fresh, truncating any prior store.
     pub resume: bool,
 }
 
@@ -341,9 +344,11 @@ pub struct SweepOptions {
     pub checkpoint: Option<Checkpoint>,
     /// Deterministic per-cell fault injection (soak/CI only).
     pub chaos: Option<CellChaos>,
-    /// Stop claiming new cells after this many have been simulated — a
-    /// deterministic stand-in for `kill -9` in checkpoint/resume tests.
-    /// The sweep reports itself interrupted, exactly as for SIGINT.
+    /// Stop claiming new cells after this many have been simulated (store
+    /// hits do not count) — a deterministic stand-in for `kill -9` in
+    /// checkpoint/resume tests at `jobs: 1`; with more workers, cells
+    /// already in flight still finish. The sweep reports itself
+    /// interrupted, exactly as for SIGINT.
     pub stop_after: Option<usize>,
     /// Content-addressed persistent trace corpus (`None` keeps recordings
     /// in memory for this sweep only). Corrupt or stale entries are
@@ -372,7 +377,7 @@ pub struct Sweep {
     failures: Vec<CellReport>,
     /// Whether the sweep stopped early (SIGINT or `stop_after`).
     interrupted: bool,
-    /// Cells restored from a checkpoint journal instead of simulated.
+    /// Cells answered from the result store instead of simulated.
     restored: usize,
 }
 
@@ -443,7 +448,8 @@ impl Sweep {
         self.interrupted
     }
 
-    /// Cells restored from the checkpoint journal instead of simulated.
+    /// Cells answered from the checkpoint's result store instead of
+    /// simulated.
     pub fn restored(&self) -> usize {
         self.restored
     }
@@ -587,99 +593,6 @@ pub fn sweep_interrupted() -> bool {
     SWEEP_INTERRUPTED.load(Ordering::SeqCst)
 }
 
-// --- Checkpoint journal --------------------------------------------------
-
-/// Schema tag on every journal line.
-const CKPT_SCHEMA: &str = "helios-ckpt-v1";
-
-/// One finished cell as a journal line:
-/// `{"schema":"helios-ckpt-v1","workload":…,"mode":…,"cfg":"<16 hex>","stats":{…}}`.
-fn journal_line(workload: &str, mode: &str, cfg_digest: u64, stats: &SimStats) -> String {
-    let stats_body: Vec<String> = stats
-        .to_kv()
-        .iter()
-        .map(|(k, v)| format!("\"{k}\":{v}"))
-        .collect();
-    format!(
-        "{{\"schema\":\"{CKPT_SCHEMA}\",\"workload\":\"{}\",\"mode\":\"{}\",\"cfg\":\"{cfg_digest:016x}\",\"stats\":{{{}}}}}",
-        crate::json::escape(workload),
-        crate::json::escape(mode),
-        stats_body.join(",")
-    )
-}
-
-/// Parses one journal line back into `(workload, mode, cfg digest, stats)`.
-fn parse_journal_line(line: &str) -> Result<(String, String, u64, SimStats), String> {
-    let v = crate::Json::parse(line).map_err(|e| e.to_string())?;
-    if v.get("schema").and_then(crate::Json::as_str) != Some(CKPT_SCHEMA) {
-        return Err(format!("not a {CKPT_SCHEMA} record"));
-    }
-    let workload = v
-        .get("workload")
-        .and_then(crate::Json::as_str)
-        .ok_or("missing workload")?;
-    let mode = v.get("mode").and_then(crate::Json::as_str).ok_or("missing mode")?;
-    let cfg = v
-        .get("cfg")
-        .and_then(crate::Json::as_str)
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .ok_or("missing or malformed cfg digest")?;
-    let kv: Vec<(&str, u64)> = v
-        .get("stats")
-        .and_then(crate::Json::as_object)
-        .ok_or("missing stats")?
-        .iter()
-        .map(|(k, n)| {
-            n.as_u64()
-                .map(|n| (k.as_str(), n))
-                .ok_or_else(|| format!("non-integer stat {k}"))
-        })
-        .collect::<Result<_, _>>()?;
-    let stats = SimStats::from_kv(kv)?;
-    Ok((workload.to_string(), mode.to_string(), cfg, stats))
-}
-
-/// Reads a journal, skipping (with a warning) lines that fail to parse —
-/// a torn final write from a crash must not poison the resume.
-fn load_journal(path: &Path) -> io::Result<HashMap<(String, u64), SimStats>> {
-    let mut map = HashMap::new();
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(map),
-        Err(e) => return Err(e),
-    };
-    for (lineno, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        match parse_journal_line(line) {
-            Ok((w, _mode, cfg, stats)) => {
-                map.insert((w, cfg), stats);
-            }
-            Err(e) => eprintln!(
-                "warning: {}:{}: unreadable checkpoint line ({e}); cell will be re-simulated",
-                path.display(),
-                lineno + 1
-            ),
-        }
-    }
-    Ok(map)
-}
-
-/// Append-only, fsync-per-line journal writer: a line is only ever observed
-/// complete or absent, never torn across a crash *and* trusted.
-struct Journal {
-    file: std::fs::File,
-}
-
-impl Journal {
-    fn append(&mut self, line: &str) -> io::Result<()> {
-        self.file.write_all(line.as_bytes())?;
-        self.file.write_all(b"\n")?;
-        self.file.sync_data()
-    }
-}
-
 // --- Trace cache ---------------------------------------------------------
 
 /// Per-workload trace handles for one sweep. A workload's trace is obtained
@@ -713,8 +626,7 @@ impl TraceCache {
         if let Some(r) = &*slot {
             return r.clone();
         }
-        // Recording errors keep their historical `recording <name>: …`
-        // message shape; run_sweep_jobs's panic path matches on it.
+        // `sweepd` reports recording errors in the same shape.
         let r = match store {
             Some(s) => w.stored(s),
             None => w.trace().map_err(helios_emu::StoreError::Record),
@@ -735,60 +647,21 @@ impl TraceCache {
 
 // --- The resilient executor ----------------------------------------------
 
-/// Runs every (workload × mode) combination on [`default_jobs`] worker
-/// threads, reporting progress on stderr. Results are deterministic and
-/// workload-major regardless of the worker count.
-pub fn run_sweep(workloads: &[Workload], modes: &[FusionMode]) -> Sweep {
-    run_sweep_jobs(workloads, modes, default_jobs())
-}
-
-/// [`run_sweep`] with an explicit worker count (the `--jobs` flag of the
-/// figure binaries). `jobs` is clamped to at least 1.
-///
-/// # Panics
-///
-/// If any cell's simulation fails, the panic names the failing
-/// (workload, mode) cell. Callers that need partial results use
-/// [`run_sweep_opts`].
-pub fn run_sweep_jobs(workloads: &[Workload], modes: &[FusionMode], jobs: usize) -> Sweep {
-    let opts = SweepOptions {
-        jobs,
-        policy: SweepPolicy {
-            max_attempts: 1,
-            ..SweepPolicy::default()
-        },
-        ..SweepOptions::default()
-    };
-    let sweep = run_sweep_opts(workloads, modes, &opts).expect("sweep without checkpoint cannot fail on i/o");
-    if let Some(f) = sweep.failures.first() {
-        match &f.outcome {
-            // Recording errors keep their historical message shape.
-            CellOutcome::Failed { error, .. } if error.starts_with("recording ") => {
-                panic!("{error}")
-            }
-            other => panic!(
-                "sweep cell {}/{} failed: {}",
-                f.workload,
-                f.mode.name(),
-                other.describe()
-            ),
-        }
-    }
-    sweep
-}
-
 /// The resilient sweep executor behind every figure binary (DESIGN.md §14):
-/// per-cell fault isolation with bounded retry and quarantine, optional
-/// wall-clock timeouts, an optional crash-safe checkpoint journal with
-/// resume, optional deterministic chaos injection, and cooperative
-/// interrupt handling. Healthy cells always complete; every abnormal cell
-/// is reported in [`Sweep::failures`].
+/// every (workload × mode) cell runs through [`run_cell`] on a pool of
+/// `opts.jobs` workers, with per-cell fault isolation, bounded retry and
+/// quarantine, optional wall-clock timeouts, an optional crash-safe
+/// checkpoint [`ResultStore`] with resume, optional deterministic chaos
+/// injection, and cooperative interrupt handling. Results are
+/// workload-major and identical for any worker count; healthy cells always
+/// complete, and every abnormal cell is reported in [`Sweep::failures`].
 ///
 /// # Errors
 ///
-/// Only on checkpoint I/O setup (unreadable journal directory). Cell-level
-/// problems — including trace-store corruption, which is quarantined and
-/// re-recorded — never surface here; they are handled per cell.
+/// Only on checkpoint I/O setup (an uncreatable or unreadable store file).
+/// Cell-level problems — including trace-store corruption, which is
+/// quarantined and re-recorded — never surface here; they are handled per
+/// cell.
 pub fn run_sweep_opts(
     workloads: &[Workload],
     modes: &[FusionMode],
@@ -800,50 +673,19 @@ pub fn run_sweep_opts(
     if opts.handle_interrupt {
         install_interrupt_handler();
     }
-
-    let cfgs: Vec<PipeConfig> = modes.iter().map(|&m| PipeConfig::with_fusion(m)).collect();
-
-    // Restore finished cells from the journal before spawning workers.
-    let outcomes: Vec<Mutex<Option<CellOutcome>>> = (0..total).map(|_| Mutex::new(None)).collect();
-    let mut restored = 0usize;
-    let journal: Option<Mutex<Journal>> = match &opts.checkpoint {
-        Some(ck) => {
-            if let Some(parent) = ck.path.parent() {
-                if !parent.as_os_str().is_empty() {
-                    std::fs::create_dir_all(parent)?;
-                }
-            }
-            if ck.resume {
-                let prior = load_journal(&ck.path)?;
-                for (i, slot) in outcomes.iter().enumerate() {
-                    let (w, mi) = (&workloads[i / modes.len()], i % modes.len());
-                    if let Some(stats) = prior.get(&(w.name.to_string(), cfgs[mi].digest())) {
-                        *slot.lock().unwrap() = Some(CellOutcome::Ok(Box::new(stats.clone())));
-                        restored += 1;
-                    }
-                }
-                if restored > 0 {
-                    eprintln!(
-                        "resume: restored {restored}/{total} cells from {}",
-                        ck.path.display()
-                    );
-                }
-            }
-            let file = if ck.resume {
-                std::fs::OpenOptions::new().create(true).append(true).open(&ck.path)?
-            } else {
-                std::fs::File::create(&ck.path)?
-            };
-            Some(Mutex::new(Journal { file }))
-        }
+    let result_store = match &opts.checkpoint {
+        Some(ck) if ck.resume => Some(ResultStore::open(&ck.path)?),
+        Some(ck) => Some(ResultStore::create(&ck.path)?),
         None => None,
     };
     let store_before: Option<StoreStats> = opts.trace_store.as_ref().map(TraceStore::stats);
 
+    let outcomes: Vec<Mutex<Option<CellOutcome>>> = (0..total).map(|_| Mutex::new(None)).collect();
     let reporter = Progress::new(total);
     let traces = TraceCache::new(workloads.len(), modes.len());
     let next = AtomicUsize::new(0);
     let simulated = AtomicUsize::new(0); // for `stop_after`
+    let restored = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for _ in 0..jobs {
             s.spawn(|| loop {
@@ -854,33 +696,32 @@ pub fn run_sweep_opts(
                 if i >= total {
                     break;
                 }
-                let (wi, mi) = (i / modes.len(), i % modes.len());
-                let (w, mode) = (&workloads[wi], modes[mi]);
-                if outcomes[i].lock().unwrap().is_some() {
-                    // Restored from the journal: nothing to simulate.
-                    traces.cell_finished(wi);
-                    reporter.item_done(w.name, mode.name());
-                    continue;
+                if opts
+                    .stop_after
+                    .is_some_and(|cap| simulated.load(Ordering::Relaxed) >= cap)
+                {
+                    SWEEP_INTERRUPTED.store(true, Ordering::SeqCst);
+                    break;
                 }
-                if let Some(cap) = opts.stop_after {
-                    if simulated.fetch_add(1, Ordering::Relaxed) >= cap {
-                        SWEEP_INTERRUPTED.store(true, Ordering::SeqCst);
-                        break;
-                    }
-                }
-                let outcome = run_cell(w, mode, cfgs[mi], wi, &traces, opts);
-                if let (CellOutcome::Ok(stats), Some(j)) = (&outcome, &journal) {
-                    let line = journal_line(w.name, mode.name(), cfgs[mi].digest(), stats);
-                    if let Err(e) = j.lock().unwrap().append(&line) {
-                        eprintln!("\rwarning: checkpoint append failed: {e}");
-                    }
-                }
+                let (wi, mode) = (i / modes.len(), modes[i % modes.len()]);
+                let w = &workloads[wi];
+                let (outcome, from_store) = run_cell(
+                    w,
+                    mode,
+                    &opts.policy,
+                    opts.chaos.as_ref(),
+                    result_store.as_ref(),
+                    || traces.get(wi, w, opts.trace_store.as_ref()),
+                );
+                let counter = if from_store { &restored } else { &simulated };
+                counter.fetch_add(1, Ordering::Relaxed);
                 *outcomes[i].lock().unwrap() = Some(outcome);
                 traces.cell_finished(wi);
                 reporter.item_done(w.name, mode.name());
             });
         }
     });
+    let restored = restored.into_inner();
 
     let interrupted = SWEEP_INTERRUPTED.load(Ordering::SeqCst);
     if interrupted {
@@ -899,6 +740,12 @@ pub fn run_sweep_opts(
         eprintln!(
             "trace store: {} recorded, {} hits, {} migrated, {} quarantined",
             d.recorded, d.hits, d.migrated, d.quarantined
+        );
+    }
+    if let (Some(ck), true) = (&opts.checkpoint, restored > 0) {
+        eprintln!(
+            "resume: restored {restored}/{total} cells from {}",
+            ck.path.display()
         );
     }
 
@@ -938,23 +785,42 @@ pub fn run_sweep_opts(
     Ok(sweep)
 }
 
-/// Simulates one cell under the sweep policy: bounded retry with capped
-/// exponential backoff, wall-clock deadline, panic isolation, and
-/// deterministic chaos injection. Returns the final outcome; never panics.
-fn run_cell(
+/// Runs one sweep cell — the single cell executor behind both
+/// [`run_sweep_opts`] and the `sweepd` daemon's workers. In order:
+///
+/// 1. a `store` lookup: a hit returns at once, without acquiring a trace;
+/// 2. trace acquisition through `trace` (a recording error fails the cell);
+/// 3. simulation under `catch_unwind` and the policy's per-attempt
+///    deadline, with bounded retry, capped exponential backoff, and
+///    deterministic `chaos` injection;
+/// 4. on success, an append to `store`.
+///
+/// Returns the final outcome and whether it came from the store; never
+/// panics.
+pub fn run_cell(
     w: &Workload,
     mode: FusionMode,
-    cfg: PipeConfig,
-    wi: usize,
-    traces: &TraceCache,
-    opts: &SweepOptions,
-) -> CellOutcome {
-    let policy = &opts.policy;
-    let chaos = opts.chaos.as_ref().and_then(|c| c.fault_for(w.name, mode.name()));
-    let trace = match traces.get(wi, w, opts.trace_store.as_ref()) {
+    policy: &SweepPolicy,
+    chaos: Option<&CellChaos>,
+    store: Option<&ResultStore>,
+    trace: impl FnOnce() -> Result<Trace, String>,
+) -> (CellOutcome, bool) {
+    let cfg = PipeConfig::with_fusion(mode);
+    let key = store.map(|s| {
+        let key = CellKey {
+            trace: TraceStore::digest(&w.program),
+            cfg: cfg.digest(),
+        };
+        (s, key)
+    });
+    if let Some(stats) = key.and_then(|(s, k)| s.get(k)) {
+        return (CellOutcome::Ok(Box::new(stats)), true);
+    }
+    let trace = match trace() {
         Ok(t) => t,
-        Err(error) => return CellOutcome::Failed { error, attempts: 1 },
+        Err(error) => return (CellOutcome::Failed { error, attempts: 1 }, false),
     };
+    let chaos = chaos.and_then(|c| c.fault_for(w.name, mode.name()));
     let max_attempts = policy.max_attempts.max(1);
     let mut attempts = 0u32;
     loop {
@@ -977,7 +843,15 @@ fn run_cell(
                 .try_run()
         }));
         let outcome = match result {
-            Ok(Ok(run)) => return CellOutcome::Ok(Box::new(run.stats)),
+            Ok(Ok(run)) => {
+                if let Some((s, k)) = key {
+                    if let Err(e) = s.put(k, w.name, mode.name(), &run.stats) {
+                        // Costs a future re-simulation, never a wrong answer.
+                        eprintln!("\rwarning: result store append failed: {e}");
+                    }
+                }
+                return (CellOutcome::Ok(Box::new(run.stats)), false);
+            }
             Ok(Err(SimError::WallClockTimeout { limit_ms, .. })) => {
                 CellOutcome::TimedOut { limit_ms, attempts }
             }
@@ -991,7 +865,7 @@ fn run_cell(
             },
         };
         if attempts >= max_attempts || sweep_interrupted() {
-            return outcome;
+            return (outcome, false);
         }
         let backoff = policy
             .backoff_ms
@@ -1007,11 +881,19 @@ fn run_cell(
 mod tests {
     use super::*;
 
+    fn sweep(ws: &[Workload], modes: &[FusionMode], jobs: usize) -> Sweep {
+        let opts = SweepOptions {
+            jobs,
+            ..Default::default()
+        };
+        run_sweep_opts(ws, modes, &opts).unwrap()
+    }
+
     #[test]
     fn sweep_indexing() {
         let ws = vec![helios_workloads::workload("crc32").unwrap()];
         let modes = [FusionMode::NoFusion, FusionMode::CsfSbr];
-        let s = run_sweep_jobs(&ws, &modes, 1);
+        let s = sweep(&ws, &modes, 1);
         assert_eq!(s.results().len(), 2);
         assert!(s.get("crc32", FusionMode::NoFusion).is_some());
         assert!(s.get("crc32", FusionMode::Helios).is_none());
@@ -1031,7 +913,7 @@ mod tests {
             helios_workloads::workload("crc32").unwrap(),
         ];
         let modes = [FusionMode::NoFusion, FusionMode::CsfSbr];
-        let s = run_sweep_jobs(&ws, &modes, 2);
+        let s = sweep(&ws, &modes, 2);
         assert_eq!(s.workloads(), vec!["susan", "crc32"]);
         let cells: Vec<(&str, FusionMode)> =
             s.results().iter().map(|r| (r.workload, r.mode)).collect();
@@ -1077,12 +959,13 @@ mod tests {
         // A starved workload makes recording fail loudly with the name.
         let mut w = helios_workloads::workload("crc32").unwrap();
         w.fuel = 10;
-        let err = catch_unwind(AssertUnwindSafe(|| {
-            run_sweep_jobs(&[w], &[FusionMode::NoFusion], 2)
-        }))
-        .unwrap_err();
-        let msg = panic_message(&*err);
-        assert!(msg.contains("crc32"), "panic names the workload: {msg}");
+        let s = sweep(&[w], &[FusionMode::NoFusion], 2);
+        match &s.failures()[0].outcome {
+            CellOutcome::Failed { error, .. } => {
+                assert!(error.contains("crc32"), "error names the workload: {error}")
+            }
+            other => panic!("expected a failed cell, got {}", other.describe()),
+        }
     }
 
     #[test]
@@ -1093,20 +976,5 @@ mod tests {
             .try_run()
             .unwrap_err();
         assert!(matches!(err, SimError::WallClockTimeout { .. }), "{err}");
-    }
-
-    #[test]
-    fn journal_line_round_trips() {
-        let w = helios_workloads::workload("crc32").unwrap();
-        let stats = SimRequest::mode(&w, FusionMode::NoFusion).run().stats;
-        let cfg = PipeConfig::with_fusion(FusionMode::NoFusion).digest();
-        let line = journal_line("crc32", "NoFusion", cfg, &stats);
-        let (pw, pm, pcfg, pstats) = parse_journal_line(&line).unwrap();
-        assert_eq!((pw.as_str(), pm.as_str(), pcfg), ("crc32", "NoFusion", cfg));
-        assert_eq!(pstats.to_kv(), stats.to_kv());
-        // Corruption in any part fails parsing, not the process.
-        assert!(parse_journal_line(&line[..line.len() / 2]).is_err());
-        assert!(parse_journal_line(&line.replace("cycles", "cycels")).is_err());
-        assert!(parse_journal_line("{\"schema\":\"other\"}").is_err());
     }
 }

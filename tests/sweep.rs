@@ -2,7 +2,7 @@
 //! and streamed from a trace store), parallel determinism, and loud failure
 //! on starved recordings.
 
-use helios::{run_sweep_jobs, FusionMode, SimRequest, TraceStore};
+use helios::{run_sweep_opts, FusionMode, SimRequest, SweepOptions, TraceStore};
 use helios_emu::EmuError;
 
 /// The pipeline consumes a retired-µ-op sequence; whether it comes from a
@@ -68,8 +68,15 @@ fn parallel_sweep_is_deterministic() {
         .map(|n| helios::workload(n).unwrap())
         .collect();
     let modes = [FusionMode::NoFusion, FusionMode::CsfSbr, FusionMode::Helios];
-    let serial = run_sweep_jobs(&ws, &modes, 1);
-    let parallel = run_sweep_jobs(&ws, &modes, 4);
+    let sweep = |jobs| {
+        let opts = SweepOptions {
+            jobs,
+            ..Default::default()
+        };
+        run_sweep_opts(&ws, &modes, &opts).unwrap()
+    };
+    let (serial, parallel) = (sweep(1), sweep(4));
+    assert!(serial.is_complete() && parallel.is_complete());
     assert_eq!(serial.results().len(), parallel.results().len());
     for (a, b) in serial.results().iter().zip(parallel.results()) {
         assert_eq!((a.workload, a.mode), (b.workload, b.mode), "ordering differs");
