@@ -1,10 +1,10 @@
 //! HTRC2: the compact, columnar, block-framed on-disk trace encoding.
 //!
-//! The v1 layout (`record.rs`) serialized every [`Retired`] field raw —
-//! 47 bytes per dynamic µ-op on disk, ~88 in memory — which capped the
-//! trace corpus at a few hundred megabytes and forced sweep replay to
-//! materialize whole traces. HTRC2 exploits the fact that a retired-µ-op
-//! trace is *almost entirely derivable* from ISA semantics:
+//! Serializing every [`Retired`] field raw costs 47 bytes per dynamic
+//! µ-op on disk (~88 in memory), which would cap the trace corpus at a few
+//! hundred megabytes and force sweep replay to hold whole traces in memory.
+//! HTRC2 exploits the fact that a retired-µ-op trace is *almost entirely
+//! derivable* from ISA semantics:
 //!
 //! * **`pc` chains**: every µ-op's `pc` equals the previous µ-op's
 //!   `next_pc`, so only each block's start PC is stored.
@@ -45,7 +45,7 @@ use std::path::{Path, PathBuf};
 /// small enough that a streaming replay holds ~5 MB, not a whole trace.
 pub const DEFAULT_BLOCK_UOPS: u32 = 64 * 1024;
 
-/// On-disk format version written by [`encode_v2`] (v1 is `record.rs`).
+/// On-disk format version written by [`encode_v2`], the only one read.
 pub(crate) const V2_FORMAT_VERSION: u16 = 2;
 
 // --- varint / zigzag ------------------------------------------------------
@@ -146,8 +146,8 @@ fn unencodable(seq: u64, why: impl Into<String>) -> TraceIoError {
 /// store file carries exactly this plus the path.
 #[derive(Clone, Debug)]
 pub struct Htrc2Header {
-    /// Semantic integrity stamp (same content hash as the v1 format, so a
-    /// re-encoded v1 trace keeps its identity).
+    /// Semantic integrity stamp (the same content hash an in-memory
+    /// recording reports).
     pub stamp: TraceStamp,
     /// Total retired µ-ops in the trace.
     pub uops: u64,
@@ -179,12 +179,18 @@ fn encode_header(h: &Htrc2Header) -> Vec<u8> {
     for &o in &h.output {
         buf.extend_from_slice(&o.to_le_bytes());
     }
+    let sum = fnv_of(&buf);
+    buf.extend_from_slice(&sum.to_le_bytes());
+    buf
+}
+
+/// FNV-1a over a byte run: the header and block-frame checksum.
+fn fnv_of(bytes: &[u8]) -> u64 {
     let mut fnv = Fnv::new();
-    for &b in &buf {
+    for &b in bytes {
         fnv.u8(b);
     }
-    buf.extend_from_slice(&fnv.finish().to_le_bytes());
-    buf
+    fnv.finish()
 }
 
 /// Reads and verifies a v2 header from `r`.
@@ -192,7 +198,7 @@ fn encode_header(h: &Htrc2Header) -> Vec<u8> {
 /// # Errors
 ///
 /// [`TraceIoError::BadMagic`] / [`TraceIoError::FormatVersion`] for files
-/// that are not HTRC2 (a v1 file reports `FormatVersion { found: 1 }`),
+/// that are not HTRC2 (an older format reports `FormatVersion`),
 /// [`TraceIoError::StaleIsa`] for traces recorded under older emulator
 /// semantics, [`TraceIoError::ChecksumMismatch`] for a corrupted header,
 /// [`TraceIoError::Truncated`] / [`TraceIoError::Io`] for short or
@@ -236,7 +242,8 @@ pub fn read_header<R: Read>(r: &mut R) -> Result<Htrc2Header, TraceIoError> {
     if output_count > 1 << 24 {
         return Err(TraceIoError::Truncated);
     }
-    let mut output = Vec::with_capacity(output_count as usize);
+    // Grown as words arrive: a corrupt count must not reserve memory.
+    let mut output = Vec::new();
     for _ in 0..output_count {
         let mut b = [0u8; 8];
         r.read_exact(&mut b).map_err(TraceIoError::from)?;
@@ -339,14 +346,10 @@ pub fn encode_v2<W: Write>(
     regs[Reg::SP.index()] = DEFAULT_STACK_TOP;
     for chunk in uops.chunks(block_uops as usize) {
         let payload = encode_block(chunk, &mut regs)?;
-        let mut fnv = Fnv::new();
-        for &b in &payload {
-            fnv.u8(b);
-        }
         w.write_all(&(payload.len() as u32).to_le_bytes())
             .map_err(TraceIoError::from)?;
         w.write_all(&payload).map_err(TraceIoError::from)?;
-        w.write_all(&fnv.finish().to_le_bytes())
+        w.write_all(&fnv_of(&payload).to_le_bytes())
             .map_err(TraceIoError::from)?;
         written += 4 + payload.len() as u64 + 8;
     }
@@ -459,8 +462,16 @@ fn encode_block(chunk: &[Retired], regs: &mut [u64; 32]) -> Result<Vec<u8>, Trac
 
 // --- decoding -------------------------------------------------------------
 
-/// Decodes one block payload (already checksum-verified), advancing `regs`.
-fn decode_block(payload: &[u8], regs: &mut [u64; 32]) -> Result<Vec<Retired>, TraceIoError> {
+/// Decodes one block payload (already checksum-verified) onto `out`,
+/// advancing `regs`. `block_uops` is the header's block size: no block
+/// holds more (or none), so any other count is corruption, not an
+/// allocation request.
+fn decode_block(
+    payload: &[u8],
+    block_uops: u32,
+    regs: &mut [u64; 32],
+    out: &mut Vec<Retired>,
+) -> Result<(), TraceIoError> {
     let mut pos = 0usize;
     let fixed = payload.get(0..20 + 256).ok_or(TraceIoError::Truncated)?;
     let count = u32::from_le_bytes(fixed[0..4].try_into().unwrap()) as usize;
@@ -472,7 +483,7 @@ fn decode_block(payload: &[u8], regs: &mut [u64; 32]) -> Result<Vec<Retired>, Tr
     }
     *regs = snapshot;
     pos += 20 + 256;
-    if count > (1 << 28) {
+    if count == 0 || count > block_uops as usize || first_seq.checked_add(count as u64).is_none() {
         return Err(TraceIoError::Truncated);
     }
 
@@ -485,13 +496,17 @@ fn decode_block(payload: &[u8], regs: &mut [u64; 32]) -> Result<Vec<Retired>, Tr
         pos += len;
     }
     let [dict_stream, bitmap, targets, addrs, loads] = streams;
+    if bitmap.len() != count.div_ceil(8) {
+        return Err(TraceIoError::Truncated);
+    }
 
     // Dictionary: pc → decoded Inst, sorted by pc for binary search.
     let mut dpos = 0usize;
-    let entries = get_varint(dict_stream, &mut dpos)? as usize;
-    if entries > count.max(1) {
+    let entries = get_varint(dict_stream, &mut dpos)?;
+    if entries > count as u64 {
         return Err(TraceIoError::Truncated);
     }
+    let entries = entries as usize;
     let mut dict: Vec<(u64, Inst)> = Vec::with_capacity(entries);
     let mut prev_pc = 0u64;
     for _ in 0..entries {
@@ -509,14 +524,10 @@ fn decode_block(payload: &[u8], regs: &mut [u64; 32]) -> Result<Vec<Retired>, Tr
         prev_pc = pc;
     }
 
-    if bitmap.len() != count.div_ceil(8) {
-        return Err(TraceIoError::Truncated);
-    }
-
     let (mut tpos, mut apos, mut lpos) = (0usize, 0usize, 0usize);
     let (mut prev_addr, mut prev_load) = (0u64, 0u64);
     let mut pc = start_pc;
-    let mut out = Vec::with_capacity(count);
+    out.reserve(count);
     for i in 0..count {
         let inst = match dict.binary_search_by_key(&pc, |&(p, _)| p) {
             Ok(d) => dict[d].1,
@@ -571,7 +582,7 @@ fn decode_block(payload: &[u8], regs: &mut [u64; 32]) -> Result<Vec<Retired>, Tr
     if tpos != targets.len() || apos != addrs.len() || lpos != loads.len() {
         return Err(TraceIoError::Truncated);
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Reads one `len | payload | checksum` block frame from `r`, verifying
@@ -585,16 +596,19 @@ fn read_block_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, TraceIoError> {
     if len > (1 << 30) {
         return Err(TraceIoError::Truncated);
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload).map_err(TraceIoError::from)?;
+    // Reserve at most 1 MiB up front and grow only as bytes arrive, so a
+    // corrupt length on a short stream costs nothing.
+    let mut payload = Vec::with_capacity(len.min(1 << 20));
+    r.take(len as u64)
+        .read_to_end(&mut payload)
+        .map_err(TraceIoError::from)?;
+    if payload.len() != len {
+        return Err(TraceIoError::Truncated);
+    }
     let mut sumb = [0u8; 8];
     r.read_exact(&mut sumb).map_err(TraceIoError::from)?;
     let stored = u64::from_le_bytes(sumb);
-    let mut fnv = Fnv::new();
-    for &b in &payload {
-        fnv.u8(b);
-    }
-    let actual = fnv.finish();
+    let actual = fnv_of(&payload);
     if actual != stored {
         return Err(TraceIoError::ChecksumMismatch { stored, actual });
     }
@@ -612,10 +626,12 @@ fn read_block_frame<R: Read>(r: &mut R) -> Result<Vec<u8>, TraceIoError> {
 pub fn decode_all<R: Read>(r: &mut R) -> Result<(Htrc2Header, Vec<Retired>), TraceIoError> {
     let header = read_header(r)?;
     let mut regs = [0u64; 32];
-    let mut uops = Vec::with_capacity(header.uops.min(1 << 28) as usize);
+    // No reservation from `header.uops`: the vector grows with the blocks
+    // actually decoded, so a corrupt count cannot request memory.
+    let mut uops = Vec::new();
     for _ in 0..header.blocks {
         let payload = read_block_frame(r)?;
-        uops.extend(decode_block(&payload, &mut regs)?);
+        decode_block(&payload, header.block_uops, &mut regs, &mut uops)?;
     }
     if uops.len() as u64 != header.uops {
         return Err(TraceIoError::Truncated);
@@ -664,11 +680,13 @@ pub fn verify_file(path: &Path) -> Result<Htrc2Header, TraceIoError> {
 /// under us — panics with the path and the block error, which a resilient
 /// sweep quarantines like any other cell fault.
 #[derive(Debug)]
-pub struct BlockReplay {
-    r: io::BufReader<std::fs::File>,
+pub struct BlockReplay<R = io::BufReader<std::fs::File>> {
+    r: R,
     path: PathBuf,
     blocks_left: u32,
+    block_uops: u32,
     total: u64,
+    decoded: u64,
     consumed: u64,
     regs: [u64; 32],
     buf: Vec<Retired>,
@@ -682,13 +700,21 @@ impl BlockReplay {
     ///
     /// Any [`TraceIoError`] from opening or header verification.
     pub fn open(path: &Path) -> Result<BlockReplay, TraceIoError> {
-        let mut r = io::BufReader::new(std::fs::File::open(path)?);
+        BlockReplay::over(io::BufReader::new(std::fs::File::open(path)?), path)
+    }
+}
+
+impl<R: Read> BlockReplay<R> {
+    /// Reads the header from `r`; `path` only names the stream in panics.
+    fn over(mut r: R, path: &Path) -> Result<BlockReplay<R>, TraceIoError> {
         let header = read_header(&mut r)?;
         Ok(BlockReplay {
             r,
             path: path.to_path_buf(),
             blocks_left: header.blocks,
+            block_uops: header.block_uops,
             total: header.uops,
+            decoded: 0,
             consumed: 0,
             regs: [0u64; 32],
             buf: Vec::new(),
@@ -701,29 +727,40 @@ impl BlockReplay {
         self.total
     }
 
-    fn refill(&mut self) -> bool {
+    /// Decodes the next block into the buffer. `Ok(false)` at the end of
+    /// the stream; an error if the blocks disagree with the header's µ-op
+    /// count, so the iterator's exact size is never a lie.
+    fn next_block(&mut self) -> Result<bool, TraceIoError> {
         if self.blocks_left == 0 {
-            return false;
-        }
-        let next = read_block_frame(&mut self.r)
-            .and_then(|payload| decode_block(&payload, &mut self.regs));
-        match next {
-            Ok(uops) => {
-                self.blocks_left -= 1;
-                self.buf = uops;
-                self.pos = 0;
-                !self.buf.is_empty()
+            if self.decoded != self.total {
+                return Err(TraceIoError::Truncated);
             }
-            Err(e) => panic!(
+            return Ok(false);
+        }
+        let payload = read_block_frame(&mut self.r)?;
+        self.buf.clear();
+        self.pos = 0;
+        decode_block(&payload, self.block_uops, &mut self.regs, &mut self.buf)?;
+        self.blocks_left -= 1;
+        self.decoded += self.buf.len() as u64;
+        if self.decoded > self.total {
+            return Err(TraceIoError::Truncated);
+        }
+        Ok(true)
+    }
+
+    fn refill(&mut self) -> bool {
+        self.next_block().unwrap_or_else(|e| {
+            panic!(
                 "trace {} corrupted mid-replay (block {} of stream): {e}",
                 self.path.display(),
                 self.blocks_left
-            ),
-        }
+            )
+        })
     }
 }
 
-impl Iterator for BlockReplay {
+impl<R: Read> Iterator for BlockReplay<R> {
     type Item = Retired;
 
     #[inline]
@@ -743,7 +780,7 @@ impl Iterator for BlockReplay {
     }
 }
 
-impl ExactSizeIterator for BlockReplay {}
+impl<R: Read> ExactSizeIterator for BlockReplay<R> {}
 
 #[cfg(test)]
 mod tests {
@@ -901,13 +938,317 @@ mod tests {
 
     #[test]
     fn v1_files_report_format_version() {
-        let t = rich_trace();
-        let mut v1 = Vec::new();
-        t.save_v1(&mut v1).unwrap();
+        let mut v1 = encode_to_vec(&rich_trace(), 8);
+        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
         assert!(matches!(
             read_header(&mut v1.as_slice()),
             Err(TraceIoError::FormatVersion { found: 1, want: 2 })
         ));
+    }
+
+    #[test]
+    fn header_mismatches_are_distinguished() {
+        let clean = encode_to_vec(&rich_trace(), 8);
+        let (body, blocks) = split(&clean);
+        let read = |b: &[u8]| read_header(&mut &b[..]);
+
+        let mut bad = clean.clone();
+        bad[0] = b'X';
+        assert!(matches!(read(&bad), Err(TraceIoError::BadMagic(_))));
+
+        let mut bad = clean.clone();
+        bad[4] = 0xEE; // format version (u16 LE at offset 4)
+        assert!(matches!(
+            read(&bad),
+            Err(TraceIoError::FormatVersion {
+                found: 0xEE,
+                want: 2
+            })
+        ));
+
+        // The ISA check runs after the header checksum, so the header must
+        // be re-sealed for a stale ISA version to reach it.
+        let mut stale = body.clone();
+        stale[6] ^= 0x01; // ISA version (u32 LE at offset 6)
+        assert!(matches!(
+            read(&seal(&stale, &blocks)),
+            Err(TraceIoError::StaleIsa { .. })
+        ));
+
+        let mut bad = clean.clone();
+        bad[6] ^= 0x01;
+        assert!(matches!(
+            read(&bad),
+            Err(TraceIoError::ChecksumMismatch { .. })
+        ));
+
+        assert!(matches!(
+            read(&clean[..clean.len().min(body.len() + 3)]),
+            Err(TraceIoError::Truncated)
+        ));
+    }
+
+    /// Splits an HTRC2 encoding into its header (checksum stripped) and its
+    /// block payloads.
+    fn split(bytes: &[u8]) -> (Vec<u8>, Vec<Vec<u8>>) {
+        let header_bytes = read_header(&mut &bytes[..]).unwrap().header_bytes as usize;
+        let mut blocks = Vec::new();
+        let mut pos = header_bytes;
+        while pos < bytes.len() {
+            let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
+            blocks.push(bytes[pos + 4..pos + 4 + len].to_vec());
+            pos += 4 + len + 8;
+        }
+        (bytes[..header_bytes - 8].to_vec(), blocks)
+    }
+
+    /// Reassembles a header and block payloads with fresh checksums, so a
+    /// mutation gets past the framing check into the field parsers.
+    fn seal(header: &[u8], blocks: &[Vec<u8>]) -> Vec<u8> {
+        let mut out = header.to_vec();
+        out.extend_from_slice(&fnv_of(header).to_le_bytes());
+        for p in blocks {
+            out.extend_from_slice(&(p.len() as u32).to_le_bytes());
+            out.extend_from_slice(p);
+            out.extend_from_slice(&fnv_of(p).to_le_bytes());
+        }
+        out
+    }
+
+    fn patch(mut bytes: Vec<u8>, at: usize, value: &[u8]) -> Vec<u8> {
+        if at < bytes.len() {
+            let end = (at + value.len()).min(bytes.len());
+            bytes[at..end].copy_from_slice(&value[..end - at]);
+        }
+        bytes
+    }
+
+    /// Wraps the system allocator and, while a thread is measuring, records
+    /// the largest single request that thread makes.
+    struct LargestAlloc;
+
+    thread_local! {
+        static LARGEST: std::cell::Cell<Option<usize>> = const { std::cell::Cell::new(None) };
+    }
+
+    fn note(size: usize) {
+        let _ = LARGEST.try_with(|m| {
+            if let Some(max) = m.get() {
+                m.set(Some(max.max(size)));
+            }
+        });
+    }
+
+    // SAFETY: every method forwards its arguments unchanged to `System`,
+    // which upholds the `GlobalAlloc` contract. `note` only compares sizes
+    // in a const-initialised thread-local `Cell`, which never allocates.
+    unsafe impl std::alloc::GlobalAlloc for LargestAlloc {
+        unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+            note(layout.size());
+            std::alloc::System.alloc(layout)
+        }
+        unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+            note(layout.size());
+            std::alloc::System.alloc_zeroed(layout)
+        }
+        unsafe fn realloc(
+            &self,
+            ptr: *mut u8,
+            layout: std::alloc::Layout,
+            new_size: usize,
+        ) -> *mut u8 {
+            note(new_size);
+            std::alloc::System.realloc(ptr, layout, new_size)
+        }
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+            std::alloc::System.dealloc(ptr, layout)
+        }
+    }
+
+    #[global_allocator]
+    static ALLOC: LargestAlloc = LargestAlloc;
+
+    /// Runs both decoders over `bytes` and returns the largest single
+    /// allocation they requested. A panic fails the test with the case.
+    fn decode_everything(case: &str, bytes: &[u8]) -> usize {
+        LARGEST.with(|m| m.set(Some(0)));
+        let run = std::panic::catch_unwind(|| {
+            let _ = decode_all(&mut &bytes[..]);
+            if let Ok(mut replay) = BlockReplay::over(bytes, Path::new(case)) {
+                while let Ok(true) = replay.next_block() {}
+            }
+        });
+        let largest = LARGEST.with(|m| m.replace(None)).unwrap_or(0);
+        if run.is_err() {
+            panic!("decoder panicked on {case}: {bytes:02x?}");
+        }
+        largest
+    }
+
+    /// What decoding `n` input bytes may ask for in one allocation: one
+    /// 1 MiB frame buffer, or eight µ-ops per bitmap byte with the output
+    /// vector's doubling on top.
+    fn allocation_bound(n: usize) -> usize {
+        (1 << 20).max(16 * std::mem::size_of::<Retired>() * n)
+    }
+
+    #[test]
+    fn decoder_survives_arbitrary_bytes() {
+        use helios_prng::{Rng, SeedableRng, SliceRandom, StdRng};
+        let t = rich_trace();
+        let clean = encode_to_vec(&t, 8);
+        let (body, blocks) = split(&clean);
+
+        // Crashers the fuzzer below found, pinned by name.
+        let pinned = [
+            (
+                "header µ-op count u64::MAX: decode_all reserved ~19 GiB",
+                seal(&patch(body.clone(), 18, &u64::MAX.to_le_bytes()), &blocks),
+            ),
+            ("first_seq near u64::MAX: seq arithmetic overflowed", {
+                let mut b = blocks.clone();
+                b[0] = patch(b[0].clone(), 4, &(u64::MAX - 1).to_le_bytes());
+                seal(&body, &b)
+            }),
+            (
+                "block count above the header's block_uops",
+                seal(&patch(body.clone(), 26, &4u32.to_le_bytes()), &blocks),
+            ),
+            ("output count 1 << 24: read_header reserved 128 MiB", {
+                // The one-byte output count follows the name "rich".
+                let mut head = body.clone();
+                let mut count = Vec::new();
+                put_varint(&mut count, 1 << 24);
+                head.splice(39..40, count);
+                seal(&head, &blocks)
+            }),
+            (
+                "frame length 1 << 28 on a short stream: reserved 256 MiB",
+                patch(clean.clone(), body.len() + 8, &(1u32 << 28).to_le_bytes()),
+            ),
+        ];
+        for (case, bytes) in &pinned {
+            assert!(decode_all(&mut bytes.as_slice()).is_err(), "{case}");
+            let largest = decode_everything(case, bytes);
+            assert!(
+                largest <= allocation_bound(bytes.len()),
+                "{case}: {largest} B"
+            );
+        }
+
+        let seeds: Vec<Vec<u8>> = [1u32, 3, 8, DEFAULT_BLOCK_UOPS]
+            .iter()
+            .map(|&b| encode_to_vec(&t, b))
+            .chain(std::iter::once({
+                let mut buf = Vec::new();
+                encode_v2(&[], &[7], "empty", 8, &mut buf).unwrap();
+                buf
+            }))
+            .collect();
+        const EXTREMES: [u64; 14] = [
+            0,
+            1,
+            2,
+            7,
+            8,
+            0x80,
+            1 << 20,
+            1 << 24,
+            1 << 28,
+            1 << 31,
+            u32::MAX as u64,
+            i64::MAX as u64,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let mut rng = StdRng::seed_from_u64(0x4854_5243_3200);
+        for case in 0..20_000 {
+            let (mut head, mut payloads) = split(seeds.choose(&mut rng).unwrap());
+            let (mut cut, mut lie) = (None, None);
+            for _ in 0..rng.gen_range(1..=3u32) {
+                let extreme = EXTREMES.choose(&mut rng).unwrap().to_le_bytes();
+                let width = *[1usize, 4, 8].choose(&mut rng).unwrap();
+                let donor = split(seeds.choose(&mut rng).unwrap()).1;
+                let blk = (!payloads.is_empty()).then(|| rng.gen_range(0..payloads.len()));
+                match (rng.gen_range(0..8u32), blk) {
+                    (0, _) => {
+                        let at = rng.gen_range(0..head.len());
+                        head[at] ^= rng.gen_range(1..=255u8);
+                    }
+                    (1, _) if rng.gen_bool(0.75) => {
+                        // The fixed fields: µ-op count, block size, blocks.
+                        let at = *[18usize, 26, 30].choose(&mut rng).unwrap();
+                        let width = width.min(if at == 18 { 8 } else { 4 });
+                        head = patch(head, at, &extreme[..width]);
+                    }
+                    (1, _) if head[34] < 0x80 && 35 + (head[34] as usize) < head.len() => {
+                        // The output-count varint after the one-byte name
+                        // length and the name.
+                        let at = 35 + head[34] as usize;
+                        let mut count = Vec::new();
+                        put_varint(&mut count, u64::from_le_bytes(extreme));
+                        head.splice(at..at + 1, count);
+                    }
+                    (2, Some(b)) if !payloads[b].is_empty() => {
+                        let p = &mut payloads[b];
+                        let at = rng.gen_range(0..p.len());
+                        p[at] ^= rng.gen_range(1..=255u8);
+                    }
+                    (3, Some(b)) => {
+                        // Count, first seq, start pc, a register, or the
+                        // stream lengths right after the snapshot.
+                        let at = *[0usize, 4, 12, 20 + 8 * rng.gen_range(0..32usize), 276]
+                            .choose(&mut rng)
+                            .unwrap();
+                        payloads[b] = patch(payloads[b].clone(), at, &extreme[..width]);
+                    }
+                    (4, Some(b)) => {
+                        let len = rng.gen_range(0..=payloads[b].len());
+                        payloads[b].truncate(len);
+                    }
+                    (5, Some(b)) if !donor.is_empty() => {
+                        // Splice a run of another encoding's block in.
+                        let from = donor.choose(&mut rng).unwrap();
+                        let start = rng.gen_range(0..from.len());
+                        let end = rng.gen_range(start..=from.len());
+                        let at = rng.gen_range(0..=payloads[b].len());
+                        if rng.gen_bool(0.5) {
+                            payloads[b].splice(at..at, from[start..end].iter().copied());
+                        } else {
+                            let stop = (at + end - start).min(payloads[b].len());
+                            payloads[b].splice(at..stop, from[start..end].iter().copied());
+                        }
+                    }
+                    (6, Some(b)) if rng.gen_bool(0.3) => {
+                        // A frame length the payload does not back up.
+                        lie = Some((b, u32::from_le_bytes(extreme[..4].try_into().unwrap())));
+                    }
+                    (6, Some(b)) => {
+                        if rng.gen_bool(0.5) {
+                            payloads.remove(b);
+                        } else {
+                            let dup = payloads[b].clone();
+                            payloads.insert(b, dup);
+                        }
+                    }
+                    _ => cut = Some(rng.gen::<u64>()),
+                }
+            }
+            let mut bytes = seal(&head, &payloads);
+            if let Some((b, len)) = lie.filter(|&(b, _)| b < payloads.len()) {
+                let at = head.len() + 8 + payloads[..b].iter().map(|p| p.len() + 12).sum::<usize>();
+                bytes = patch(bytes, at, &len.to_le_bytes());
+            }
+            if let Some(c) = cut {
+                bytes.truncate((c % (bytes.len() as u64 + 1)) as usize);
+            }
+            let largest = decode_everything(&format!("case {case}"), &bytes);
+            assert!(
+                largest <= allocation_bound(bytes.len()),
+                "case {case}: {largest} B from {} input bytes: {bytes:02x?}",
+                bytes.len()
+            );
+        }
     }
 
     #[test]

@@ -12,11 +12,10 @@
 //! (A live `RetireStream` simply stops at the budget; a recording that did
 //! the same would make every downstream figure quietly wrong.)
 
-use crate::{Cpu, EmuError, MemAccess, Retired};
+use crate::{Cpu, EmuError, Retired};
 use helios_isa::{Program, ISA_VERSION};
 use std::fmt;
-use std::io::{self, Read, Write};
-use std::path::Path;
+use std::io;
 use std::sync::Arc;
 
 /// An immutable, shareable recording of a program's retired-µ-op trace.
@@ -98,184 +97,14 @@ impl RecordedTrace {
     pub fn stamp(&self) -> TraceStamp {
         content_stamp(&self.uops, &self.output)
     }
-
-    /// Serializes the recording to `w` in the `HTRC` v1 binary format: a
-    /// header carrying a magic, the format version, the [`TraceStamp`] (ISA
-    /// version and content checksum) and element counts, followed by the
-    /// µ-ops and the output words — 47 bytes per µ-op, raw. `load_v1`
-    /// refuses anything whose stamp does not verify, so a cached trace can
-    /// never silently go stale. Nothing writes v1 in production anymore —
-    /// the writer survives only for tests that fabricate legacy corpora to
-    /// exercise the store's read-and-migrate path.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn save_v1<W: Write>(&self, w: &mut W) -> io::Result<()> {
-        let stamp = self.stamp();
-        w.write_all(TRACE_MAGIC)?;
-        w.write_all(&TRACE_FORMAT_VERSION.to_le_bytes())?;
-        w.write_all(&stamp.isa_version.to_le_bytes())?;
-        w.write_all(&stamp.checksum.to_le_bytes())?;
-        w.write_all(&(self.uops.len() as u64).to_le_bytes())?;
-        w.write_all(&(self.output.len() as u64).to_le_bytes())?;
-        for r in self.uops.iter() {
-            w.write_all(&r.seq.to_le_bytes())?;
-            w.write_all(&r.pc.to_le_bytes())?;
-            w.write_all(&helios_isa::encode(&r.inst).to_le_bytes())?;
-            w.write_all(&r.next_pc.to_le_bytes())?;
-            match r.mem {
-                None => w.write_all(&[0, 0, 0, 0, 0, 0, 0, 0, 0, 0])?,
-                Some(m) => {
-                    w.write_all(&[if m.is_store { 2 } else { 1 }])?;
-                    w.write_all(&m.addr.to_le_bytes())?;
-                    w.write_all(&[m.size])?;
-                }
-            }
-            match r.rd_value {
-                None => w.write_all(&[0, 0, 0, 0, 0, 0, 0, 0, 0])?,
-                Some(v) => {
-                    w.write_all(&[1])?;
-                    w.write_all(&v.to_le_bytes())?;
-                }
-            }
-        }
-        for &o in self.output.iter() {
-            w.write_all(&o.to_le_bytes())?;
-        }
-        Ok(())
-    }
-
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub(crate) fn save_v1_file(&self, path: &Path) -> io::Result<()> {
-        let mut f = io::BufWriter::new(std::fs::File::create(path)?);
-        self.save_v1(&mut f)?;
-        f.flush()
-    }
-
-    /// Deserializes a recording previously written in the v1 layout,
-    /// verifying the header and the integrity stamp.
-    ///
-    /// # Errors
-    ///
-    /// [`TraceIoError`] distinguishes every way a cached trace can be unfit
-    /// for use: wrong file type ([`TraceIoError::BadMagic`]), written by a
-    /// different serializer revision ([`TraceIoError::FormatVersion`]),
-    /// recorded under older ISA semantics ([`TraceIoError::StaleIsa`]),
-    /// bit rot or torn writes ([`TraceIoError::ChecksumMismatch`],
-    /// [`TraceIoError::Truncated`]), an undecodable instruction word
-    /// ([`TraceIoError::Decode`]), or a plain I/O failure. Callers treat all
-    /// of them the same way: discard the cached file and re-record.
-    pub(crate) fn load_v1<R: Read>(r: &mut R) -> Result<RecordedTrace, TraceIoError> {
-        let mut magic = [0u8; 4];
-        read_exact(r, &mut magic)?;
-        if &magic != TRACE_MAGIC {
-            return Err(TraceIoError::BadMagic(magic));
-        }
-        let format = u16::from_le_bytes(read_array(r)?);
-        if format != TRACE_FORMAT_VERSION {
-            return Err(TraceIoError::FormatVersion {
-                found: format,
-                want: TRACE_FORMAT_VERSION,
-            });
-        }
-        let isa_version = u32::from_le_bytes(read_array(r)?);
-        if isa_version != ISA_VERSION {
-            return Err(TraceIoError::StaleIsa {
-                found: isa_version,
-                want: ISA_VERSION,
-            });
-        }
-        let checksum = u64::from_le_bytes(read_array(r)?);
-        let uop_count = u64::from_le_bytes(read_array(r)?);
-        let output_count = u64::from_le_bytes(read_array(r)?);
-        // An absurd count means a corrupt header; fail before allocating.
-        const MAX_ELEMS: u64 = 1 << 32;
-        if uop_count > MAX_ELEMS || output_count > MAX_ELEMS {
-            return Err(TraceIoError::Truncated);
-        }
-        let mut uops = Vec::with_capacity(uop_count as usize);
-        for _ in 0..uop_count {
-            let seq = u64::from_le_bytes(read_array(r)?);
-            let pc = u64::from_le_bytes(read_array(r)?);
-            let word = u32::from_le_bytes(read_array(r)?);
-            let inst = helios_isa::decode(word).map_err(|e| TraceIoError::Decode {
-                seq,
-                detail: e.to_string(),
-            })?;
-            let next_pc = u64::from_le_bytes(read_array(r)?);
-            let mem = {
-                let kind = read_array::<1>(r)?[0];
-                let addr = u64::from_le_bytes(read_array(r)?);
-                let size = read_array::<1>(r)?[0];
-                match kind {
-                    // Padding must be zero, so every corrupted byte is
-                    // detectable (checksums only cover semantic content).
-                    0 if addr == 0 && size == 0 => None,
-                    1 | 2 => Some(MemAccess {
-                        addr,
-                        size,
-                        is_store: kind == 2,
-                    }),
-                    _ => return Err(TraceIoError::Truncated),
-                }
-            };
-            let rd_value = {
-                let kind = read_array::<1>(r)?[0];
-                let v = u64::from_le_bytes(read_array(r)?);
-                match kind {
-                    0 if v == 0 => None,
-                    1 => Some(v),
-                    _ => return Err(TraceIoError::Truncated),
-                }
-            };
-            uops.push(Retired {
-                seq,
-                pc,
-                inst,
-                next_pc,
-                mem,
-                rd_value,
-            });
-        }
-        let mut output = Vec::with_capacity(output_count as usize);
-        for _ in 0..output_count {
-            output.push(u64::from_le_bytes(read_array(r)?));
-        }
-        let trace = RecordedTrace {
-            uops: uops.into(),
-            output: output.into(),
-        };
-        let actual = trace.stamp().checksum;
-        if actual != checksum {
-            return Err(TraceIoError::ChecksumMismatch {
-                stored: checksum,
-                actual,
-            });
-        }
-        Ok(trace)
-    }
-
-    pub(crate) fn load_v1_file(path: &Path) -> Result<RecordedTrace, TraceIoError> {
-        let mut f = io::BufReader::new(std::fs::File::open(path)?);
-        let trace = RecordedTrace::load_v1(&mut f)?;
-        // Trailing garbage means the file is not what `save` wrote.
-        let mut probe = [0u8; 1];
-        match f.read(&mut probe) {
-            Ok(0) => Ok(trace),
-            Ok(_) => Err(TraceIoError::Truncated),
-            Err(e) => Err(TraceIoError::Io(e.to_string())),
-        }
-    }
 }
 
-/// Magic bytes opening every serialized trace, v1 or v2 ("Helios TRaCe").
+/// Magic bytes opening every serialized trace ("Helios TRaCe").
 pub(crate) const TRACE_MAGIC: &[u8; 4] = b"HTRC";
 
-/// The raw v1 layout this module reads and migrates; new files are written
-/// by [`crate::codec`] at [`crate::codec::V2_FORMAT_VERSION`].
-const TRACE_FORMAT_VERSION: u16 = 1;
-
-/// The semantic content hash carried by every serialized trace, v1 and v2
-/// alike: FNV-1a over every µ-op field and every output word, so a
-/// re-encoded trace keeps its identity across formats.
+/// The semantic content hash carried by every serialized trace: FNV-1a
+/// over every µ-op field and every output word, so a trace keeps its
+/// identity whether it lives in memory or in a file.
 pub(crate) fn content_stamp(uops: &[Retired], output: &[u64]) -> TraceStamp {
     let mut h = Fnv::new();
     h.u64(uops.len() as u64);
@@ -387,7 +216,7 @@ impl From<io::Error> for TraceIoError {
 }
 
 /// FNV-1a, field-delimited by construction (every variable-length run is
-/// preceded by its length). Shared by the v1 stamp, the v2 block framing,
+/// preceded by its length). Shared by the content stamp, the block framing,
 /// and the store's content addressing.
 pub(crate) struct Fnv(u64);
 
@@ -415,16 +244,6 @@ impl Fnv {
     pub(crate) fn finish(self) -> u64 {
         self.0
     }
-}
-
-fn read_exact<R: Read>(r: &mut R, buf: &mut [u8]) -> Result<(), TraceIoError> {
-    r.read_exact(buf).map_err(TraceIoError::from)
-}
-
-fn read_array<const N: usize>(r: &mut impl Read) -> Result<[u8; N], TraceIoError> {
-    let mut buf = [0u8; N];
-    read_exact(r, &mut buf)?;
-    Ok(buf)
 }
 
 /// An independent cursor over a [`RecordedTrace`]'s shared buffer.
@@ -492,114 +311,5 @@ mod tests {
         let prog = parse_asm("li a0, 42\nli a7, 64\necall\nebreak").unwrap();
         let rec = RecordedTrace::capture(prog, 100).unwrap();
         assert_eq!(rec.output(), &[42]);
-    }
-
-    /// A kernel exercising every serialized field shape: loads, stores,
-    /// taken/not-taken branches, rd-writing and rd-less µ-ops, and outputs.
-    const RICH: &str = "li a1, 0x1000\n\
-                        li a0, 5\n\
-                        top: sd a0, 0(a1)\n\
-                        ld a2, 0(a1)\n\
-                        addi a0, a0, -1\n\
-                        bnez a0, top\n\
-                        li a7, 64\n\
-                        ecall\n\
-                        ebreak";
-
-    #[test]
-    fn save_load_round_trips() {
-        let prog = parse_asm(RICH).unwrap();
-        let rec = RecordedTrace::capture(prog, 1000).unwrap();
-        let mut buf = Vec::new();
-        rec.save_v1(&mut buf).unwrap();
-        let back = RecordedTrace::load_v1(&mut buf.as_slice()).unwrap();
-        assert_eq!(back.uops(), rec.uops());
-        assert_eq!(back.output(), rec.output());
-        assert_eq!(back.stamp(), rec.stamp());
-    }
-
-    #[test]
-    fn any_flipped_byte_is_detected() {
-        let prog = parse_asm(RICH).unwrap();
-        let rec = RecordedTrace::capture(prog, 1000).unwrap();
-        let mut clean = Vec::new();
-        rec.save_v1(&mut clean).unwrap();
-        // Flip one byte at a spread of offsets covering header, µ-ops, and
-        // outputs; every corruption must be rejected, never silently loaded.
-        for off in (0..clean.len()).step_by(7) {
-            let mut bad = clean.clone();
-            bad[off] ^= 0x40;
-            assert!(
-                RecordedTrace::load_v1(&mut bad.as_slice()).is_err(),
-                "flip at byte {off} loaded successfully"
-            );
-        }
-    }
-
-    #[test]
-    fn header_mismatches_are_distinguished() {
-        let prog = parse_asm(LOOP).unwrap();
-        let rec = RecordedTrace::capture(prog, 1000).unwrap();
-        let mut clean = Vec::new();
-        rec.save_v1(&mut clean).unwrap();
-
-        let mut bad = clean.clone();
-        bad[0] = b'X';
-        assert!(matches!(
-            RecordedTrace::load_v1(&mut bad.as_slice()),
-            Err(TraceIoError::BadMagic(_))
-        ));
-
-        let mut bad = clean.clone();
-        bad[4] = 0xEE; // format version (u16 LE at offset 4)
-        assert!(matches!(
-            RecordedTrace::load_v1(&mut bad.as_slice()),
-            Err(TraceIoError::FormatVersion { .. })
-        ));
-
-        let mut bad = clean.clone();
-        bad[6] ^= 0x01; // ISA version (u32 LE at offset 6)
-        assert!(matches!(
-            RecordedTrace::load_v1(&mut bad.as_slice()),
-            Err(TraceIoError::StaleIsa { .. })
-        ));
-
-        let mut bad = clean.clone();
-        bad[10] ^= 0x01; // checksum (u64 LE at offset 10)
-        assert!(matches!(
-            RecordedTrace::load_v1(&mut bad.as_slice()),
-            Err(TraceIoError::ChecksumMismatch { .. })
-        ));
-
-        let short = &clean[..clean.len() - 3];
-        assert!(matches!(
-            RecordedTrace::load_v1(&mut &short[..]),
-            Err(TraceIoError::Truncated)
-        ));
-    }
-
-    #[test]
-    fn file_round_trip_rejects_trailing_garbage() {
-        let dir = std::env::temp_dir().join(format!("helios-rec-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.htrc");
-        let prog = parse_asm(LOOP).unwrap();
-        let rec = RecordedTrace::capture(prog, 1000).unwrap();
-        rec.save_v1_file(&path).unwrap();
-        let back = RecordedTrace::load_v1_file(&path).unwrap();
-        assert_eq!(back.uops(), rec.uops());
-        // Appended bytes mean the file is not what `save` wrote.
-        let mut raw = std::fs::read(&path).unwrap();
-        raw.push(0);
-        std::fs::write(&path, &raw).unwrap();
-        assert!(matches!(
-            RecordedTrace::load_v1_file(&path),
-            Err(TraceIoError::Truncated)
-        ));
-        assert!(matches!(
-            RecordedTrace::load_v1_file(&dir.join("missing.htrc")),
-            Err(TraceIoError::Io(_))
-        ));
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -18,9 +18,6 @@
 //! * **Corrupt** — a file that fails verification is quarantined (renamed
 //!   to `*.corrupt`) and re-recorded, exactly like the sweep cache's
 //!   discard-and-re-record policy. `trace gc` reclaims quarantine.
-//! * **Legacy** — a raw v1 `<name>.htrc` file left by an older build is
-//!   validated against the program and re-encoded into the store once;
-//!   after migration the v1 file is removed.
 //!
 //! [`Trace`] / [`Replay`] unify the two ways a µ-op sequence can live —
 //! in memory ([`RecordedTrace`]) or on disk (streamed [`BlockReplay`]) —
@@ -98,7 +95,7 @@ impl Trace {
 
     /// The trace's semantic integrity stamp ([`ISA_VERSION`] + FNV content
     /// checksum) — identical for the same recording whether it lives in
-    /// memory, in a v1 file, or in an HTRC2 file.
+    /// memory or in an HTRC2 file.
     pub fn stamp(&self) -> TraceStamp {
         match self {
             Trace::Memory(t) => t.stamp(),
@@ -217,8 +214,6 @@ pub struct StoreStats {
     pub recorded: u64,
     /// Lookups satisfied by an existing verified file.
     pub hits: u64,
-    /// Legacy v1 files re-encoded into HTRC2.
-    pub migrated: u64,
     /// Corrupt or stale entries renamed to `*.corrupt` (then re-recorded).
     pub quarantined: u64,
 }
@@ -229,7 +224,6 @@ impl StoreStats {
         StoreStats {
             recorded: self.recorded - earlier.recorded,
             hits: self.hits - earlier.hits,
-            migrated: self.migrated - earlier.migrated,
             quarantined: self.quarantined - earlier.quarantined,
         }
     }
@@ -252,7 +246,7 @@ pub struct StoreEntry {
 }
 
 /// What [`TraceStore::verify`] found: the verified corpus plus every file
-/// that failed (with the failure), including unreadable legacy v1 files.
+/// that failed (with the failure).
 #[derive(Clone, Debug, Default)]
 pub struct VerifyReport {
     /// Entries whose header and every block checksum verified.
@@ -277,7 +271,6 @@ struct StoreInner {
     lock_timeout: Duration,
     recorded: AtomicU64,
     hits: AtomicU64,
-    migrated: AtomicU64,
     quarantined: AtomicU64,
 }
 
@@ -324,7 +317,6 @@ impl TraceStore {
                 lock_timeout: DEFAULT_LOCK_TIMEOUT,
                 recorded: AtomicU64::new(0),
                 hits: AtomicU64::new(0),
-                migrated: AtomicU64::new(0),
                 quarantined: AtomicU64::new(0),
             }),
         })
@@ -379,12 +371,11 @@ impl TraceStore {
         h.finish()
     }
 
-    /// Lifetime counters (recorded / hits / migrated / quarantined).
+    /// Lifetime counters (recorded / hits / quarantined).
     pub fn stats(&self) -> StoreStats {
         StoreStats {
             recorded: self.inner.recorded.load(Ordering::Relaxed),
             hits: self.inner.hits.load(Ordering::Relaxed),
-            migrated: self.inner.migrated.load(Ordering::Relaxed),
             quarantined: self.inner.quarantined.load(Ordering::Relaxed),
         }
     }
@@ -394,8 +385,8 @@ impl TraceStore {
     }
 
     /// The trace for `program`, recording it if the store does not already
-    /// hold it. `name` labels the entry (header metadata and the legacy v1
-    /// filename to migrate from); identity is the program digest alone.
+    /// hold it. `name` labels the entry (header metadata only); identity is
+    /// the program digest alone.
     ///
     /// Concurrency: the first caller per key records under a lock file;
     /// every other thread or process waits and then hits. A lock whose
@@ -433,7 +424,7 @@ impl TraceStore {
                         drop(guard);
                         continue;
                     }
-                    let trace = self.record_locked(name, program, fuel, &path)?;
+                    let trace = self.record_locked(name, program, fuel, digest)?;
                     drop(guard);
                     return Ok(trace);
                 }
@@ -446,33 +437,23 @@ impl TraceStore {
         }
     }
 
-    /// Records (or migrates) the keyed trace while holding its lock.
+    /// Records the keyed trace while holding its lock. The temp file is
+    /// named by digest, like the lock, so two recordings of different
+    /// programs under one workload name never share a temp inode.
     fn record_locked(
         &self,
         name: &str,
         program: &Program,
         fuel: u64,
-        path: &Path,
+        digest: u64,
     ) -> Result<Trace, StoreError> {
-        // Legacy migration: a raw v1 file from an older build, named by
-        // workload, is re-encoded once instead of re-emulated.
-        let v1_path = self.inner.dir.join(format!("{name}.htrc"));
-        let rec = match self.migratable_v1(&v1_path, program)? {
-            Some(rec) => {
-                self.inner.migrated.fetch_add(1, Ordering::Relaxed);
-                rec
-            }
-            None => {
-                let rec = RecordedTrace::capture(program.clone(), fuel)
-                    .map_err(StoreError::Record)?;
-                self.inner.recorded.fetch_add(1, Ordering::Relaxed);
-                rec
-            }
-        };
+        let path = self.keyed_path(digest);
+        let rec = RecordedTrace::capture(program.clone(), fuel).map_err(StoreError::Record)?;
+        self.inner.recorded.fetch_add(1, Ordering::Relaxed);
         let tmp = self
             .inner
             .dir
-            .join(format!("{name}.{}.tmp", std::process::id()));
+            .join(format!("{digest:016x}.{}.tmp", std::process::id()));
         let result: Result<(), StoreError> = (|| {
             let mut f = io::BufWriter::new(std::fs::File::create(&tmp)?);
             codec::encode_v2(
@@ -488,56 +469,17 @@ impl TraceStore {
             })?;
             use std::io::Write as _;
             f.flush()?;
-            std::fs::rename(&tmp, path)?;
+            std::fs::rename(&tmp, &path)?;
             Ok(())
         })();
         if result.is_err() {
             std::fs::remove_file(&tmp).ok();
         }
         result?;
-        // v1 content now lives in the store; drop the legacy file.
-        std::fs::remove_file(&v1_path).ok();
-        let header = codec::verify_file(path).map_err(|e| {
+        let header = codec::verify_file(&path).map_err(|e| {
             StoreError::Io(format!("just-written {} fails verification: {e}", path.display()))
         })?;
-        Ok(Trace::Disk(Arc::new(DiskTrace {
-            path: path.to_path_buf(),
-            header,
-        })))
-    }
-
-    /// Loads and validates a legacy v1 file for `program`. `Ok(None)` means
-    /// "no usable v1 file" (absent, corrupt — then quarantined — or
-    /// recorded from a different program).
-    fn migratable_v1(
-        &self,
-        v1_path: &Path,
-        program: &Program,
-    ) -> Result<Option<RecordedTrace>, StoreError> {
-        if !v1_path.exists() {
-            return Ok(None);
-        }
-        let rec = match RecordedTrace::load_v1_file(v1_path) {
-            Ok(rec) => rec,
-            Err(e) => {
-                self.quarantine(v1_path, &e)?;
-                return Ok(None);
-            }
-        };
-        // The v1 filename is only a workload name; prove the content is
-        // this program's execution before adopting it under the digest key.
-        let uops = rec.uops();
-        let consistent = uops.first().is_none_or(|f| f.pc == program.entry)
-            && uops.iter().enumerate().all(|(i, u)| {
-                u.seq == i as u64
-                    && program.fetch(u.pc) == Some(&u.inst)
-                    && (i == 0 || uops[i - 1].next_pc == u.pc)
-            });
-        if !consistent {
-            self.quarantine(v1_path, &"recorded from a different program")?;
-            return Ok(None);
-        }
-        Ok(Some(rec))
+        Ok(Trace::Disk(Arc::new(DiskTrace { path, header })))
     }
 
     /// Renames a failed file to `<file>.corrupt` so it is preserved for
@@ -626,7 +568,7 @@ impl TraceStore {
     }
 
     /// Headers of every HTRC2 entry in the store (no block verification —
-    /// cheap; `trace ls`). Legacy v1 files and quarantine are not listed.
+    /// cheap; `trace ls`). Quarantine is not listed.
     ///
     /// # Errors
     ///
@@ -650,7 +592,7 @@ impl TraceStore {
     }
 
     /// Deep-verifies every file in the store: HTRC2 headers and all block
-    /// checksums, plus legacy v1 files via their full stamp check. Nothing
+    /// checksums. Nothing
     /// is modified — corrupt entries are *reported*, and quarantined only
     /// when next looked up (or reclaimed by [`TraceStore::gc`]).
     ///
@@ -671,21 +613,6 @@ impl TraceStore {
                 Err(e) => report.bad.push((path, e.to_string())),
             }
         }
-        for (path, meta) in self.files_with_ext("htrc")? {
-            match RecordedTrace::load_v1_file(&path) {
-                Ok(rec) => report.ok.push(StoreEntry {
-                    name: path
-                        .file_stem()
-                        .map(|s| s.to_string_lossy().into_owned())
-                        .unwrap_or_default(),
-                    bytes: meta.len(),
-                    uops: rec.len() as u64,
-                    stamp: rec.stamp(),
-                    path,
-                }),
-                Err(e) => report.bad.push((path, e.to_string())),
-            }
-        }
         report
             .ok
             .sort_by(|a, b| a.name.cmp(&b.name).then_with(|| a.path.cmp(&b.path)));
@@ -696,7 +623,7 @@ impl TraceStore {
     /// Reclaims everything that is not a verifiable trace: quarantined
     /// `*.corrupt` files, abandoned `*.tmp` litter, stale lock files,
     /// steal tombstones left by a waiter that crashed mid-steal, and
-    /// any trace file (v1 or v2) that no longer verifies. Healthy entries
+    /// any trace file that no longer verifies. Healthy entries
     /// are untouched.
     ///
     /// # Errors
@@ -733,11 +660,7 @@ impl TraceStore {
                 if stale {
                     remove(&path, meta.len(), &mut report);
                 }
-            } else if name.ends_with(".htrc2") {
-                if codec::verify_file(&path).is_err() {
-                    remove(&path, meta.len(), &mut report);
-                }
-            } else if name.ends_with(".htrc") && RecordedTrace::load_v1_file(&path).is_err() {
+            } else if name.ends_with(".htrc2") && codec::verify_file(&path).is_err() {
                 remove(&path, meta.len(), &mut report);
             }
         }
@@ -857,37 +780,35 @@ mod tests {
     }
 
     #[test]
-    fn v1_file_is_migrated_not_rerecorded() {
-        let dir = scratch("migrate");
-        let store = TraceStore::open(&dir).unwrap();
-        let prog = parse_asm(RICH).unwrap();
-        let rec = RecordedTrace::capture(prog.clone(), 1000).unwrap();
-        let v1 = dir.join("rich.htrc");
-        rec.save_v1_file(&v1).unwrap();
-        let t = store.get_or_record("rich", &prog, 1000).unwrap();
-        let s = store.stats();
-        assert_eq!((s.migrated, s.recorded), (1, 0), "re-encoded, not re-run");
-        assert!(!v1.exists(), "legacy file consumed by migration");
-        assert_eq!(t.stamp(), rec.stamp(), "identity survives re-encoding");
-        let replayed: Vec<_> = t.replay().collect();
-        assert_eq!(replayed.as_slice(), rec.uops());
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn v1_file_from_wrong_program_is_rejected() {
-        let dir = scratch("wrongv1");
-        let store = TraceStore::open(&dir).unwrap();
-        let other = parse_asm("li a0, 1\nebreak").unwrap();
-        RecordedTrace::capture(other, 100)
-            .unwrap()
-            .save_v1_file(&dir.join("rich.htrc"))
-            .unwrap();
-        let prog = parse_asm(RICH).unwrap();
-        store.get_or_record("rich", &prog, 1000).unwrap();
-        let s = store.stats();
-        assert_eq!((s.migrated, s.recorded, s.quarantined), (0, 1, 1));
-        std::fs::remove_dir_all(&dir).ok();
+    fn same_name_different_programs_record_their_own_traces() {
+        // The recording lock is per digest, so two programs recorded under
+        // one workload name run concurrently. A temp file named by workload
+        // would be shared between them, and one key could end up holding
+        // the other program's trace.
+        let progs = [
+            parse_asm(RICH).unwrap(),
+            parse_asm("li a0, 300\ntop: addi a0, a0, -1\nbnez a0, top\nebreak").unwrap(),
+        ];
+        let want: Vec<_> = progs
+            .iter()
+            .map(|p| Trace::record(p.clone(), 10_000).unwrap().stamp())
+            .collect();
+        for round in 0..20 {
+            let dir = scratch(&format!("tmp-race-{round}"));
+            let store = TraceStore::open(&dir).unwrap();
+            let barrier = std::sync::Barrier::new(progs.len());
+            std::thread::scope(|s| {
+                for (prog, want) in progs.iter().zip(&want) {
+                    let (store, barrier) = (&store, &barrier);
+                    s.spawn(move || {
+                        barrier.wait();
+                        let t = store.get_or_record("x", prog, 10_000).unwrap();
+                        assert_eq!(t.stamp(), *want, "round {round}");
+                    });
+                }
+            });
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

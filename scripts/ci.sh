@@ -185,30 +185,19 @@ grep -q "BAD" "$scratch/verify.out" || {
     exit 1
 }
 echo "trace verify: flipped block detected (exit $verify_rc)"
+set +e
+"${trace[@]}" verfy --store "$tstore" > /dev/null 2> /dev/null
+typo_rc=$?
+set -e
+if [ "$typo_rc" -ne 2 ]; then
+    echo "ci: FAIL — unknown trace subcommand exited $typo_rc, expected 2 (usage)" >&2
+    exit 1
+fi
+echo "trace CLI: unknown subcommand exits 2"
 
-# Size smoke: warn — never fail — when the quick corpus regresses >10% in
-# bytes/µ-op against the committed full-corpus record (same rationale as
-# the throughput warning above: a red build on a size number trains people
-# to ignore red builds; the committed BENCH_trace.json is the trajectory).
+# gc reclaims the flipped file; record restores the corpus.
 "${trace[@]}" gc --store "$tstore" > /dev/null
 "${trace[@]}" record --store "$tstore" > /dev/null 2> /dev/null
-if [ -f results/BENCH_trace.json ]; then
-    "${trace[@]}" info --store "$tstore" --json > "$scratch/trace_info.json"
-    python3 - "$scratch/trace_info.json" <<'PY' || true
-import json, sys
-base = json.load(open("results/BENCH_trace.json"))["bytes_per_uop"]
-info = json.load(open(sys.argv[1]))
-row = dict(info["rows"])
-now = float(row["bytes/µ-op"])
-if now > 1.10 * base:
-    print(f"ci: WARNING — trace corpus {now:.3f} B/µ-op is >10% above the "
-          f"committed {base:.3f} (non-blocking)")
-else:
-    print(f"size smoke: {now:.3f} B/µ-op vs committed {base:.3f} — ok")
-PY
-else
-    echo "size smoke: no committed results/BENCH_trace.json baseline; skipping comparison"
-fi
 
 echo "==> Konata trace smoke"
 "${trace[@]}" dump crc32 --konata "$scratch/crc32.kanata" --limit 20000

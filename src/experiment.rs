@@ -738,8 +738,8 @@ pub fn run_sweep_opts(
         // warm store.
         let d = store.stats().since(before);
         eprintln!(
-            "trace store: {} recorded, {} hits, {} migrated, {} quarantined",
-            d.recorded, d.hits, d.migrated, d.quarantined
+            "trace store: {} recorded, {} hits, {} quarantined",
+            d.recorded, d.hits, d.quarantined
         );
     }
     if let (Some(ck), true) = (&opts.checkpoint, restored > 0) {

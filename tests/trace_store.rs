@@ -1,7 +1,7 @@
 //! TraceStore + HTRC2 integration suite: exact codec round-trips over the
-//! whole workload registry and a 200-program fuzz corpus, legacy v1
-//! migration against an independently written file, corruption detection on
-//! store files, and single-writer concurrency.
+//! whole workload registry and a 200-program fuzz corpus, the corpus size
+//! bound, corruption detection on store files, and single-writer
+//! concurrency.
 
 use helios::fuzz::{FuzzProgram, Profile, FUZZ_FUEL};
 use helios::TraceStore;
@@ -25,8 +25,9 @@ fn encode(trace: &Trace, name: &str, block_uops: u32) -> Vec<u8> {
     bytes
 }
 
-/// Asserts decode(encode(trace)) reproduces every µ-op field exactly.
-fn assert_round_trip(trace: &Trace, name: &str, block_uops: u32) {
+/// Asserts decode(encode(trace)) reproduces every µ-op field exactly and
+/// returns the encoded size in bytes.
+fn assert_round_trip(trace: &Trace, name: &str, block_uops: u32) -> usize {
     let bytes = encode(trace, name, block_uops);
     let (header, uops) = codec::decode_all(&mut bytes.as_slice()).expect("encoded trace decodes");
     assert_eq!(header.name, name);
@@ -35,17 +36,28 @@ fn assert_round_trip(trace: &Trace, name: &str, block_uops: u32) {
     assert_eq!(header.stamp, trace.stamp());
     let original: Vec<_> = trace.replay().collect();
     assert_eq!(uops, original, "{name}: decoded µ-ops differ");
+    bytes.len()
 }
 
 /// Every registered workload round-trips exactly, at the default block size
-/// and at a small one that forces multi-block framing.
+/// and at a small one that forces multi-block framing. The default-size
+/// corpus stays within 1.30 B/µ-op: encoded size is deterministic, so a
+/// codec change that grows it fails here instead of drifting unnoticed
+/// (23,001,318 B over 17,709,242 µ-ops = 1.299 when the bound was set).
 #[test]
 fn every_workload_round_trips_exactly() {
+    let (mut bytes, mut uops) = (0u64, 0u64);
     for w in helios::all_workloads() {
         let trace = w.trace().expect("workload halts within fuel");
-        assert_round_trip(&trace, w.name, helios_emu::DEFAULT_BLOCK_UOPS);
+        bytes += assert_round_trip(&trace, w.name, helios_emu::DEFAULT_BLOCK_UOPS) as u64;
+        uops += trace.len();
         assert_round_trip(&trace, w.name, 4096);
     }
+    assert!(
+        bytes * 100 <= uops * 130,
+        "corpus grew to {bytes} B for {uops} µ-ops ({:.4} B/µ-op > 1.30)",
+        bytes as f64 / uops as f64
+    );
 }
 
 /// 200 generated fuzz programs — branch-dense, mem-dense, and mixed — all
@@ -75,64 +87,6 @@ fn fuzz_corpus_round_trips_exactly() {
         assert!(seed < 500, "could not collect 200 halting fuzz programs");
     }
     assert_eq!(encoded, 200);
-}
-
-/// A v1 file written by an independent implementation of the documented
-/// layout (34-byte header, fixed 47-byte records) is read transparently:
-/// the store migrates it to HTRC2 without re-running the emulator, deletes
-/// the original, and the migrated trace replays identically.
-#[test]
-fn independently_written_v1_file_is_migrated() {
-    let dir = scratch("v1-compat");
-    let w = helios::workload("fft").unwrap();
-    let reference = w.trace().unwrap();
-
-    let stamp = reference.stamp();
-    let mut v1 = Vec::new();
-    v1.extend_from_slice(b"HTRC");
-    v1.extend_from_slice(&1u16.to_le_bytes());
-    v1.extend_from_slice(&stamp.isa_version.to_le_bytes());
-    v1.extend_from_slice(&stamp.checksum.to_le_bytes());
-    v1.extend_from_slice(&reference.len().to_le_bytes());
-    v1.extend_from_slice(&(reference.output().len() as u64).to_le_bytes());
-    for r in reference.replay() {
-        v1.extend_from_slice(&r.seq.to_le_bytes());
-        v1.extend_from_slice(&r.pc.to_le_bytes());
-        v1.extend_from_slice(&helios_isa::encode(&r.inst).to_le_bytes());
-        v1.extend_from_slice(&r.next_pc.to_le_bytes());
-        match r.mem {
-            None => v1.extend_from_slice(&[0; 10]),
-            Some(m) => {
-                v1.push(if m.is_store { 2 } else { 1 });
-                v1.extend_from_slice(&m.addr.to_le_bytes());
-                v1.push(m.size);
-            }
-        }
-        match r.rd_value {
-            None => v1.extend_from_slice(&[0; 9]),
-            Some(v) => {
-                v1.push(1);
-                v1.extend_from_slice(&v.to_le_bytes());
-            }
-        }
-    }
-    for &o in reference.output() {
-        v1.extend_from_slice(&o.to_le_bytes());
-    }
-    let v1_path = dir.join("fft.htrc");
-    fs::write(&v1_path, &v1).unwrap();
-
-    let store = TraceStore::open(&dir).unwrap();
-    let migrated = w.stored(&store).unwrap();
-    let stats = store.stats();
-    assert_eq!(stats.migrated, 1, "v1 file feeds the store: {stats:?}");
-    assert_eq!(stats.recorded, 0, "no re-emulation: {stats:?}");
-    assert!(!v1_path.exists(), "migration retires the v1 file");
-    assert_eq!(migrated.stamp(), reference.stamp());
-    let a: Vec<_> = migrated.replay().collect();
-    let b: Vec<_> = reference.replay().collect();
-    assert_eq!(a, b, "migrated trace replays identically");
-    let _ = fs::remove_dir_all(&dir);
 }
 
 /// Store-file corruption never goes unnoticed: a sample of truncation
