@@ -26,23 +26,32 @@
 //! client makes progress while a 32-workload grid is in flight, instead of
 //! queueing behind all 192 of its cells.
 //!
+//! **Single-flight.** A cell runs at most once at a time. A job that claims
+//! a cell another job's worker is already running becomes a waiter on that
+//! run and the worker moves on to the next cell it can run; when the run
+//! lands, every waiter receives its outcome. A waiter's success reads as a
+//! cache hit, so only the job whose worker ran the cell counts it as
+//! simulated.
+//!
 //! **Failure semantics.** A client disconnect cancels its job: the next
 //! event send fails, the job's remaining cells are dropped from the queue,
 //! and in-flight cells finish (and still populate the store) but go
-//! nowhere. Daemon shutdown (SIGINT or [`Server::stop`]) stops accepting,
-//! lets in-flight cells finish, and exits cleanly — the store is fsynced
-//! per append, so nothing already reported is ever lost.
+//! nowhere, unless another job waits on them. Daemon shutdown (SIGINT or
+//! [`Server::stop`]) stops accepting, lets in-flight cells finish, and
+//! exits cleanly — the store is fsynced per append, so nothing already
+//! reported is ever lost. Overload is answered, not queued: past
+//! [`MAX_CONNECTIONS`] live connections a new one gets `503`.
 
 pub mod client;
 pub mod http;
 
-use std::collections::VecDeque;
-use std::io::{BufReader, BufWriter, Write};
+use std::collections::{HashMap, VecDeque};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -58,6 +67,9 @@ pub const REQUEST_SCHEMA: &str = "helios-sweep-req-v1";
 
 /// How often the accept loop polls the stop flag between connections.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
+/// Most connections served at once; each holds one handler thread. Past
+/// this the accept loop answers `503 Service Unavailable` itself.
+pub const MAX_CONNECTIONS: usize = 64;
 
 /// Daemon configuration (CLI flags of `sweepd`).
 pub struct ServerConfig {
@@ -92,9 +104,15 @@ struct CellEvent {
     workload: &'static str,
     mode: FusionMode,
     outcome: CellOutcome,
-    /// Answered from the result store rather than simulated.
+    /// Answered without simulating for this job: from the result store, or
+    /// by another job's run of the same cell.
     from_store: bool,
 }
+
+/// How jobs name a cell. Inside one daemon `workload(name)` fixes the
+/// program and `PipeConfig::with_fusion(mode)` the config, so this names
+/// the same cell as the result store's key.
+type CellId = (&'static str, FusionMode);
 
 /// A queued sweep job: the cells still to claim plus the channel back to
 /// its connection handler.
@@ -105,12 +123,54 @@ struct Job {
     cancelled: Arc<AtomicBool>,
 }
 
-/// Worker-facing queue state: active jobs plus the round-robin cursor.
+/// A job that claimed a cell while another job's worker was running it.
+struct Waiter {
+    tx: mpsc::Sender<CellEvent>,
+    cancelled: Arc<AtomicBool>,
+}
+
+/// Worker-facing queue state: active jobs, the round-robin cursor and the
+/// cells being run.
 struct Sched {
     jobs: Vec<Job>,
     /// Index of the job the next claim starts from — advanced past each
     /// claim so concurrent clients interleave cell-by-cell.
     rr: usize,
+    /// Every cell a worker is running, with the jobs waiting on that run.
+    inflight: HashMap<CellId, Vec<Waiter>>,
+}
+
+impl Sched {
+    /// Pops the next queued cell, round-robin across active jobs.
+    fn pop(&mut self) -> Option<Claim> {
+        let n = self.jobs.len();
+        for step in 0..n {
+            let i = (self.rr + step) % n;
+            if self.jobs[i].cells.is_empty() {
+                continue;
+            }
+            let (workload, mode) = self.jobs[i].cells.pop_front().expect("non-empty");
+            let tx = self.jobs[i].tx.clone();
+            let cancelled = self.jobs[i].cancelled.clone();
+            if self.jobs[i].cells.is_empty() {
+                self.jobs.remove(i);
+                self.rr = if self.jobs.is_empty() {
+                    0
+                } else {
+                    i % self.jobs.len()
+                };
+            } else {
+                self.rr = (i + 1) % n;
+            }
+            return Some(Claim {
+                workload,
+                mode,
+                tx,
+                cancelled,
+            });
+        }
+        None
+    }
 }
 
 struct Shared {
@@ -121,6 +181,8 @@ struct Shared {
     policy: SweepPolicy,
     stop: AtomicBool,
     next_job: AtomicU64,
+    /// Live connection handlers (see [`MAX_CONNECTIONS`]).
+    connections: AtomicUsize,
     sweeps_served: AtomicU64,
     cells_simulated: AtomicU64,
     cells_cached: AtomicU64,
@@ -134,48 +196,117 @@ struct Claim {
     cancelled: Arc<AtomicBool>,
 }
 
+impl Claim {
+    fn id(&self) -> CellId {
+        (self.workload.name, self.mode)
+    }
+}
+
 impl Shared {
-    /// Claims the next cell, round-robin across active jobs. Blocks until
-    /// work arrives or the daemon stops; `None` means "shut down".
+    /// Opens the result store and trace store under `cache_dir`.
+    fn open(cache_dir: &Path, policy: SweepPolicy) -> Result<Shared, String> {
+        let path = cache_dir.join("results.jsonl");
+        let results = ResultStore::open(&path)
+            .map_err(|e| format!("result store {}: {e}", path.display()))?;
+        let traces =
+            TraceStore::open(cache_dir.join("traces")).map_err(|e| format!("trace store: {e}"))?;
+        Ok(Shared {
+            sched: Mutex::new(Sched {
+                jobs: Vec::new(),
+                rr: 0,
+                inflight: HashMap::new(),
+            }),
+            work_ready: Condvar::new(),
+            results,
+            traces,
+            policy,
+            stop: AtomicBool::new(false),
+            next_job: AtomicU64::new(0),
+            connections: AtomicUsize::new(0),
+            sweeps_served: AtomicU64::new(0),
+            cells_simulated: AtomicU64::new(0),
+            cells_cached: AtomicU64::new(0),
+        })
+    }
+
+    fn sched(&self) -> MutexGuard<'_, Sched> {
+        self.sched.lock().expect("scheduler lock poisoned")
+    }
+
+    /// Queues a job's cells; returns its id, the channel its cell events
+    /// arrive on and its cancellation flag.
+    fn submit(
+        &self,
+        cells: VecDeque<(Arc<Workload>, FusionMode)>,
+    ) -> (u64, mpsc::Receiver<CellEvent>, Arc<AtomicBool>) {
+        let (tx, rx) = mpsc::channel();
+        let cancelled = Arc::new(AtomicBool::new(false));
+        let id = self.next_job.fetch_add(1, Ordering::Relaxed);
+        self.sched().jobs.push(Job {
+            id,
+            cells,
+            tx,
+            cancelled: cancelled.clone(),
+        });
+        self.work_ready.notify_all();
+        (id, rx, cancelled)
+    }
+
+    /// Claims the next cell no worker is running, round-robin across active
+    /// jobs; a job that pops a running cell becomes a waiter on that run.
+    /// Blocks until work arrives or the daemon stops; `None` means "shut
+    /// down".
     fn claim(&self) -> Option<Claim> {
-        let mut sched = self.sched.lock().expect("scheduler lock poisoned");
+        let mut sched = self.sched();
         loop {
             if self.stop.load(Ordering::Relaxed) {
                 return None;
             }
-            let n = sched.jobs.len();
-            for step in 0..n {
-                let i = (sched.rr + step) % n;
-                if sched.jobs[i].cells.is_empty() {
-                    continue;
+            let Some(claim) = sched.pop() else {
+                sched = self
+                    .work_ready
+                    .wait_timeout(sched, Duration::from_millis(100))
+                    .expect("scheduler lock poisoned")
+                    .0;
+                continue;
+            };
+            match sched.inflight.get_mut(&claim.id()) {
+                Some(waiters) => waiters.push(Waiter {
+                    tx: claim.tx,
+                    cancelled: claim.cancelled,
+                }),
+                None => {
+                    sched.inflight.insert(claim.id(), Vec::new());
+                    return Some(claim);
                 }
-                let (workload, mode) = sched.jobs[i].cells.pop_front().expect("non-empty");
-                let tx = sched.jobs[i].tx.clone();
-                let cancelled = sched.jobs[i].cancelled.clone();
-                if sched.jobs[i].cells.is_empty() {
-                    sched.jobs.remove(i);
-                    sched.rr = if sched.jobs.is_empty() { 0 } else { i % sched.jobs.len() };
-                } else {
-                    sched.rr = (i + 1) % n;
-                }
-                return Some(Claim {
-                    workload,
-                    mode,
-                    tx,
-                    cancelled,
-                });
             }
-            sched = self
-                .work_ready
-                .wait_timeout(sched, Duration::from_millis(100))
-                .expect("scheduler lock poisoned")
-                .0;
         }
+    }
+
+    /// Starts running a claimed cell. A claim whose job was cancelled and
+    /// that no live job waits on leaves the in-flight table instead, and
+    /// `None` says to skip it.
+    fn take_off(&self, claim: Claim) -> Option<Flight<'_>> {
+        let mut sched = self.sched();
+        let live = |c: &AtomicBool| !c.load(Ordering::Relaxed);
+        if !live(&claim.cancelled)
+            && !sched.inflight[&claim.id()]
+                .iter()
+                .any(|w| live(&w.cancelled))
+        {
+            sched.inflight.remove(&claim.id());
+            return None;
+        }
+        Some(Flight {
+            shared: self,
+            claim,
+            landed: None,
+        })
     }
 
     /// Drops a cancelled job's unclaimed cells from the queue.
     fn abort_job(&self, id: u64) {
-        let mut sched = self.sched.lock().expect("scheduler lock poisoned");
+        let mut sched = self.sched();
         sched.jobs.retain(|j| j.id != id);
         if sched.rr >= sched.jobs.len() {
             sched.rr = 0;
@@ -183,15 +314,24 @@ impl Shared {
     }
 }
 
-fn worker_loop(shared: Arc<Shared>) {
-    while let Some(claim) = shared.claim() {
-        if claim.cancelled.load(Ordering::Relaxed) {
-            continue;
-        }
-        let w = &claim.workload;
+/// A cell being run. Dropping it lands the run: the cell leaves the
+/// in-flight table and its outcome goes to every live waiter, then to the
+/// claim's own job. A worker that unwinds before the outcome is set lands a
+/// failure, so no waiter hangs on a dead run.
+struct Flight<'a> {
+    shared: &'a Shared,
+    claim: Claim,
+    /// The outcome and whether the store answered it, once run.
+    landed: Option<(CellOutcome, bool)>,
+}
+
+impl Flight<'_> {
+    fn run(mut self) {
+        let shared = self.shared;
+        let w = &self.claim.workload;
         let (outcome, from_store) = run_cell(
             w,
-            claim.mode,
+            self.claim.mode,
             &shared.policy,
             None,
             Some(&shared.results),
@@ -205,14 +345,63 @@ fn worker_loop(shared: Arc<Shared>) {
         } else if matches!(outcome, CellOutcome::Ok(_)) {
             shared.cells_simulated.fetch_add(1, Ordering::Relaxed);
         }
-        // A failed send means the handler is gone (client disconnect after
-        // abort_job raced the claim); a stored result is already durable.
-        let _ = claim.tx.send(CellEvent {
-            workload: w.name,
-            mode: claim.mode,
+        self.landed = Some((outcome, from_store));
+    }
+}
+
+impl Drop for Flight<'_> {
+    fn drop(&mut self) {
+        let waiters = self
+            .shared
+            .sched
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .inflight
+            .remove(&self.claim.id())
+            .unwrap_or_default();
+        let (outcome, from_store) = self.landed.take().unwrap_or_else(|| {
+            let error = format!("sweepd worker died running {}", self.claim.workload.name);
+            (CellOutcome::Failed { error, attempts: 1 }, false)
+        });
+        let event = |outcome, from_store| CellEvent {
+            workload: self.claim.workload.name,
+            mode: self.claim.mode,
             outcome,
             from_store,
-        });
+        };
+        // A waiter's success is a cache hit: the cell was not simulated for
+        // its job. Failures pass through unchanged and stay unstored, so a
+        // later request retries them.
+        let hit = matches!(outcome, CellOutcome::Ok(_));
+        for w in waiters
+            .iter()
+            .filter(|w| !w.cancelled.load(Ordering::Relaxed))
+        {
+            if hit {
+                self.shared.cells_cached.fetch_add(1, Ordering::Relaxed);
+            }
+            let _ = w.tx.send(event(outcome.clone(), hit));
+        }
+        // A failed send means the handler is gone (client disconnect after
+        // abort_job raced the claim); a stored result is already durable.
+        let _ = self.claim.tx.send(event(outcome, from_store));
+    }
+}
+
+fn worker_loop(shared: Arc<Shared>) {
+    while let Some(claim) = shared.claim() {
+        if let Some(flight) = shared.take_off(claim) {
+            flight.run();
+        }
+    }
+}
+
+/// Holds one of the [`MAX_CONNECTIONS`] connection slots until dropped.
+struct Slot(Arc<Shared>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.connections.fetch_sub(1, Ordering::Relaxed);
     }
 }
 
@@ -233,29 +422,13 @@ impl Server {
         listener
             .set_nonblocking(true)
             .map_err(|e| format!("set_nonblocking: {e}"))?;
-        let path = config.cache_dir.join("results.jsonl");
-        let results = ResultStore::open(&path)
-            .map_err(|e| format!("result store {}: {e}", path.display()))?;
-        let traces = TraceStore::open(config.cache_dir.join("traces"))
-            .map_err(|e| format!("trace store: {e}"))?;
-        let shared = Arc::new(Shared {
-            sched: Mutex::new(Sched {
-                jobs: Vec::new(),
-                rr: 0,
-            }),
-            work_ready: Condvar::new(),
-            results,
-            traces,
-            policy: SweepPolicy {
+        let shared = Arc::new(Shared::open(
+            &config.cache_dir,
+            SweepPolicy {
                 cell_timeout: config.cell_timeout,
                 ..SweepPolicy::default()
             },
-            stop: AtomicBool::new(false),
-            next_job: AtomicU64::new(0),
-            sweeps_served: AtomicU64::new(0),
-            cells_simulated: AtomicU64::new(0),
-            cells_cached: AtomicU64::new(0),
-        });
+        )?);
         let workers = (0..config.jobs.max(1))
             .map(|i| {
                 let shared = shared.clone();
@@ -286,7 +459,8 @@ impl Server {
 
     /// Serves connections until [`Server::stop`] is called or the process
     /// is interrupted (`helios::sweep_interrupted`). Each connection gets
-    /// its own handler thread; worker threads do the simulating.
+    /// its own handler thread, up to [`MAX_CONNECTIONS`] at once; worker
+    /// threads do the simulating.
     pub fn run(&self) {
         loop {
             if self.shared.stop.load(Ordering::Relaxed) || helios::sweep_interrupted() {
@@ -294,11 +468,17 @@ impl Server {
                 return;
             }
             match self.listener.accept() {
+                Ok((stream, _))
+                    if self.shared.connections.load(Ordering::Relaxed) >= MAX_CONNECTIONS =>
+                {
+                    refuse(stream);
+                }
                 Ok((stream, _)) => {
-                    let shared = self.shared.clone();
+                    self.shared.connections.fetch_add(1, Ordering::Relaxed);
+                    let slot = Slot(self.shared.clone());
                     std::thread::Builder::new()
                         .name("sweepd-conn".to_string())
-                        .spawn(move || handle_connection(&shared, stream))
+                        .spawn(move || handle_connection(&slot.0, stream))
                         .expect("spawn connection handler");
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -386,6 +566,22 @@ fn status_json(shared: &Shared) -> Json {
     ])
 }
 
+/// Answers a connection past the cap with `503` from the accept loop. The
+/// request bytes already received are read off first: closing a socket
+/// with unread input resets it, which can destroy the answer in flight.
+fn refuse(stream: TcpStream) {
+    let _ = stream.set_nonblocking(false);
+    let mut writer = BufWriter::new(&stream);
+    let msg = format!("sweepd is serving {MAX_CONNECTIONS} connections; retry shortly");
+    if http::write_unavailable(&mut writer, &msg)
+        .and_then(|()| writer.flush())
+        .is_ok()
+    {
+        let _ = stream.set_nonblocking(true);
+        let _ = std::io::copy(&mut (&stream).take(64 * 1024), &mut std::io::sink());
+    }
+}
+
 fn handle_connection(shared: &Shared, stream: TcpStream) {
     stream
         .set_nonblocking(false)
@@ -434,25 +630,13 @@ fn handle_connection(shared: &Shared, stream: TcpStream) {
 /// `progress` line, then emit the final `done` line with all results.
 fn serve_sweep(shared: &Shared, writer: &mut impl Write, req: &SweepRequest) {
     let total = req.workloads.len() * req.modes.len();
-    let (tx, rx) = mpsc::channel();
-    let cancelled = Arc::new(AtomicBool::new(false));
-    let job_id = shared.next_job.fetch_add(1, Ordering::Relaxed);
-    {
-        let mut cells = VecDeque::with_capacity(total);
-        for w in &req.workloads {
-            for &mode in &req.modes {
-                cells.push_back((w.clone(), mode));
-            }
+    let mut cells = VecDeque::with_capacity(total);
+    for w in &req.workloads {
+        for &mode in &req.modes {
+            cells.push_back((w.clone(), mode));
         }
-        let mut sched = shared.sched.lock().expect("scheduler lock poisoned");
-        sched.jobs.push(Job {
-            id: job_id,
-            cells,
-            tx,
-            cancelled: cancelled.clone(),
-        });
     }
-    shared.work_ready.notify_all();
+    let (job_id, rx, cancelled) = shared.submit(cells);
 
     if http::write_stream_head(writer, "application/x-ndjson").is_err() {
         cancelled.store(true, Ordering::Relaxed);
@@ -539,4 +723,72 @@ fn serve_sweep(shared: &Shared, writer: &mut impl Write, req: &SweepRequest) {
         ("cells".to_string(), Json::Arr(cells)),
     ]);
     let _ = writeln!(writer, "{done}").and_then(|()| writer.flush());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn shared(tag: &str) -> Shared {
+        let dir = std::env::temp_dir().join(format!("helios-sched-{tag}-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        Shared::open(&dir, SweepPolicy::default()).expect("open stores")
+    }
+
+    fn fft(modes: &[FusionMode]) -> VecDeque<(Arc<Workload>, FusionMode)> {
+        let w = Arc::new(workload("fft").expect("registered"));
+        modes.iter().map(|&m| (w.clone(), m)).collect()
+    }
+
+    #[test]
+    fn a_claim_of_a_running_cell_waits_on_it_and_claims_the_next_cell() {
+        let shared = shared("claim");
+        shared.submit(fft(&[FusionMode::Helios]));
+        let (_, rx, _) = shared.submit(fft(&[FusionMode::Helios, FusionMode::NoFusion]));
+        let first = shared.claim().expect("a cell");
+        let second = shared.claim().expect("a cell");
+        assert_eq!(first.id(), ("fft", FusionMode::Helios));
+        assert_eq!(second.id(), ("fft", FusionMode::NoFusion));
+        assert_eq!(shared.sched().inflight[&first.id()].len(), 1);
+
+        // A flight dropped before it lands (a worker unwinding) answers its
+        // waiters with a failure and leaves the table.
+        drop(shared.take_off(first).expect("live claim"));
+        let event = rx.try_recv().expect("the waiter is answered");
+        assert!(matches!(event.outcome, CellOutcome::Failed { .. }));
+        assert!(!event.from_store);
+        assert!(!shared
+            .sched()
+            .inflight
+            .contains_key(&("fft", FusionMode::Helios)));
+    }
+
+    #[test]
+    fn a_cancelled_claim_runs_only_while_a_live_job_waits_on_it() {
+        let shared = shared("cancel");
+        let (_, rx_a, cancel_a) = shared.submit(fft(&[FusionMode::Helios]));
+        let (_, rx_b, cancel_b) = shared.submit(fft(&[FusionMode::Helios, FusionMode::NoFusion]));
+        let first = shared.claim().expect("a cell");
+        let second = shared.claim().expect("a cell");
+
+        // Job A is cancelled, but job B waits on its cell: it still runs,
+        // and B reads the outcome as a cache hit.
+        cancel_a.store(true, Ordering::Relaxed);
+        shared.take_off(first).expect("B waits on it").run();
+        let event = rx_b.try_recv().expect("the waiter is answered");
+        assert_eq!((event.workload, event.mode), ("fft", FusionMode::Helios));
+        assert!(matches!(event.outcome, CellOutcome::Ok(_)));
+        assert!(event.from_store, "a waiter's success is a cache hit");
+        let own = rx_a.try_recv().expect("the runner's job is answered too");
+        assert!(!own.from_store, "the runner's job simulated it");
+        assert_eq!(shared.cells_simulated.load(Ordering::Relaxed), 1);
+        assert_eq!(shared.cells_cached.load(Ordering::Relaxed), 1);
+
+        // Job B is cancelled and nobody waits on its other cell: skipped.
+        cancel_b.store(true, Ordering::Relaxed);
+        assert!(shared.take_off(second).is_none());
+        assert!(shared.sched().inflight.is_empty());
+        assert!(rx_b.try_recv().is_err());
+        assert_eq!(shared.cells_simulated.load(Ordering::Relaxed), 1);
+    }
 }

@@ -5,15 +5,15 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
 
 use helios::{
     run_sweep_opts, Checkpoint, FusionMode, Json, SimRequest, Sweep, SweepOptions, SweepPolicy,
     Workload,
 };
 use helios_bench::server::client::remote_sweep_with_summary;
-use helios_bench::server::{Server, ServerConfig};
+use helios_bench::server::{Server, ServerConfig, MAX_CONNECTIONS};
 
 /// A fresh scratch directory for one test's daemon state.
 fn scratch(tag: &str) -> PathBuf {
@@ -63,6 +63,42 @@ impl Drop for Daemon {
             t.join().expect("accept loop exits cleanly");
         }
     }
+}
+
+/// Sends one raw request and returns the status line, the head and the
+/// body.
+fn fetch(authority: &str, request: &[u8]) -> (String, String, String) {
+    let mut stream = TcpStream::connect(authority).expect("connect");
+    stream.write_all(request).unwrap();
+    read_response(stream)
+}
+
+fn read_response(stream: TcpStream) -> (String, String, String) {
+    let mut reader = BufReader::new(stream);
+    let mut status = String::new();
+    reader.read_line(&mut status).unwrap();
+    let (mut head, mut line) = (String::new(), String::new());
+    loop {
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        if line == "\r\n" || line == "\n" || line.is_empty() {
+            break;
+        }
+        head.push_str(&line);
+    }
+    let mut body = String::new();
+    std::io::Read::read_to_string(&mut reader, &mut body).unwrap();
+    (status, head, body)
+}
+
+/// The daemon's `/v1/health` document.
+fn health(authority: &str) -> Json {
+    let (status, _, body) = fetch(
+        authority,
+        format!("GET /v1/health HTTP/1.1\r\nHost: {authority}\r\n\r\n").as_bytes(),
+    );
+    assert!(status.starts_with("HTTP/1.1 200"), "{status}");
+    Json::parse(&body).expect("health is JSON")
 }
 
 fn grid() -> (Vec<Workload>, Vec<FusionMode>) {
@@ -296,39 +332,145 @@ fn health_endpoint_and_error_paths() {
     let daemon = Daemon::start(&dir);
     let authority = daemon.url.strip_prefix("http://").unwrap().to_string();
 
-    let fetch = |request: String| -> (String, String) {
-        let mut stream = TcpStream::connect(&authority).expect("connect");
-        stream.write_all(request.as_bytes()).unwrap();
-        let mut reader = BufReader::new(stream);
-        let mut status = String::new();
-        reader.read_line(&mut status).unwrap();
-        let mut line = String::new();
-        loop {
-            line.clear();
-            reader.read_line(&mut line).unwrap();
-            if line == "\r\n" || line == "\n" || line.is_empty() {
-                break;
-            }
-        }
-        let mut body = String::new();
-        std::io::Read::read_to_string(&mut reader, &mut body).unwrap();
-        (status, body)
-    };
-
-    let (status, body) = fetch(format!("GET /v1/health HTTP/1.1\r\nHost: {authority}\r\n\r\n"));
-    assert!(status.starts_with("HTTP/1.1 200"), "{status}");
-    let doc = Json::parse(&body).expect("health is JSON");
+    let doc = health(&authority);
     assert_eq!(doc.get("status").and_then(Json::as_str), Some("ok"));
     assert_eq!(doc.get("cached_cells").and_then(Json::as_u64), Some(0));
 
-    let (status, _) = fetch(format!("GET /nope HTTP/1.1\r\nHost: {authority}\r\n\r\n"));
+    let (status, _, _) = fetch(
+        &authority,
+        format!("GET /nope HTTP/1.1\r\nHost: {authority}\r\n\r\n").as_bytes(),
+    );
     assert!(status.starts_with("HTTP/1.1 404"), "{status}");
 
     let bad = r#"{"schema":"helios-sweep-req-v1","workloads":["not-a-workload"],"modes":["Helios"]}"#;
-    let (status, body) = fetch(format!(
-        "POST /v1/sweep HTTP/1.1\r\nHost: {authority}\r\nContent-Length: {}\r\n\r\n{bad}",
-        bad.len()
-    ));
+    let (status, _, body) = fetch(
+        &authority,
+        format!(
+            "POST /v1/sweep HTTP/1.1\r\nHost: {authority}\r\nContent-Length: {}\r\n\r\n{bad}",
+            bad.len()
+        )
+        .as_bytes(),
+    );
     assert!(status.starts_with("HTTP/1.1 400"), "{status}");
     assert!(body.contains("unknown workload"), "{body}");
+}
+
+/// Two clients released together send the same grid to a cold daemon: each
+/// cell is simulated once, and the other job receives that run's result as
+/// a cache hit.
+#[test]
+fn racing_clients_share_one_simulation_per_cell() {
+    let dir = scratch("single-flight");
+    let daemon = Daemon::start(&dir);
+    let workloads: Vec<Workload> = ["fft", "crc32", "bitcount"]
+        .iter()
+        .map(|n| helios::workload(n).expect("registered"))
+        .collect();
+    let modes = [FusionMode::NoFusion, FusionMode::Helios];
+    let unique = (workloads.len() * modes.len()) as u64;
+    let start = Barrier::new(2);
+    let answers: Vec<_> = std::thread::scope(|s| {
+        let clients: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    start.wait();
+                    remote_sweep_with_summary(&daemon.url, &workloads, &modes)
+                        .expect("client sweep")
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().expect("client"))
+            .collect()
+    });
+    let simulated: u64 = answers.iter().map(|(_, s)| s.simulated).sum();
+    let hits: u64 = answers.iter().map(|(_, s)| s.cache_hits).sum();
+    assert_eq!(simulated, unique, "every cell simulated exactly once");
+    assert_eq!(hits, unique, "the other job's copy of each cell is a hit");
+    let authority = daemon.url.strip_prefix("http://").unwrap();
+    let doc = health(authority);
+    assert_eq!(
+        doc.get("cells_simulated").and_then(Json::as_u64),
+        Some(unique)
+    );
+    assert_eq!(
+        doc.get("cells_from_cache").and_then(Json::as_u64),
+        Some(unique)
+    );
+    for w in &workloads {
+        for &mode in &modes {
+            let local = SimRequest::mode(w, mode).run().stats;
+            for (sweep, _) in &answers {
+                assert_eq!(
+                    sweep.get(w.name, mode),
+                    Some(&local),
+                    "{}/{}",
+                    w.name,
+                    mode.name()
+                );
+            }
+        }
+    }
+}
+
+/// A body nested a megabyte deep is a 400, not a stack overflow that kills
+/// the daemon.
+#[test]
+fn a_deeply_nested_body_is_rejected_and_the_daemon_survives() {
+    let dir = scratch("deep");
+    let daemon = Daemon::start(&dir);
+    let authority = daemon.url.strip_prefix("http://").unwrap();
+    let body = "[".repeat(1024 * 1024);
+    let request = format!(
+        "POST /v1/sweep HTTP/1.1\r\nHost: {authority}\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    let (status, _, body) = fetch(authority, request.as_bytes());
+    assert!(status.starts_with("HTTP/1.1 400"), "{status}");
+    assert!(body.contains("nested too deep"), "{body}");
+    assert_eq!(
+        health(authority).get("status").and_then(Json::as_str),
+        Some("ok")
+    );
+}
+
+/// Past `MAX_CONNECTIONS` live connections the daemon answers `503` with
+/// `Retry-After`, and serves again once connections close.
+#[test]
+fn connections_past_the_cap_get_503_until_one_closes() {
+    let dir = scratch("cap");
+    let daemon = Daemon::start(&dir);
+    let authority = daemon.url.strip_prefix("http://").unwrap();
+    let idle: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(authority).expect("connect"))
+        .collect();
+    let (status, head, body) = read_response(TcpStream::connect(authority).expect("connect"));
+    assert!(status.starts_with("HTTP/1.1 503"), "{status}");
+    assert!(head.contains("Retry-After: 1\r\n"), "{head}");
+    let error = Json::parse(&body).expect("JSON error body");
+    assert!(
+        error.get("error").and_then(Json::as_str).is_some(),
+        "{body}"
+    );
+
+    // The thin client reports the refusal.
+    let (workloads, modes) = grid();
+    let refused = remote_sweep_with_summary(&daemon.url, &workloads[..1], &modes[..1]);
+    let err = refused.err().expect("refused at the cap");
+    assert!(err.contains("server rejected the sweep (503)"), "{err}");
+
+    drop(idle);
+    // Each idle handler sees EOF and frees its slot.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let sweep = loop {
+        match remote_sweep_with_summary(&daemon.url, &workloads, &modes) {
+            Ok((sweep, _)) => break sweep,
+            Err(e) if e.contains("(503)") && Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            Err(e) => panic!("sweep after the idle connections closed: {e}"),
+        }
+    };
+    assert!(sweep.is_complete());
 }

@@ -308,4 +308,66 @@ cmp "$scratch/ref.out" "$scratch/server_ckpt.out" || {
 }
 echo "server smoke: local checkpoint served 48 cached cells, stdout byte-identical"
 
+echo "==> server smoke: two concurrent clients share one simulation per cell"
+# Two fig10 --quick clients race the same 48 cells through a freshly
+# emptied daemon. A cell is simulated at most once at a time and every job
+# waiting on it gets that run's result as a cache hit, so the two clients'
+# summaries must add up to exactly 48 simulated and 48 hits, and both
+# stdouts must still match the local run byte for byte. Each client writes
+# its artifacts to its own directory.
+race_dir="$scratch/sweepd-race"
+rm -rf "$race_dir"
+target/release/serve --addr 127.0.0.1:0 --cache-dir "$race_dir" --jobs 2 2> "$serve_log" &
+serve_pid=$!
+url=""
+for _ in $(seq 1 100); do
+    url=$(sed -n 's/^sweepd: listening on //p' "$serve_log")
+    [ -n "$url" ] && break
+    sleep 0.1
+done
+race_pids=()
+set +e
+for c in a b; do
+    mkdir -p "$scratch/race-$c"
+    HELIOS_RESULTS_DIR="$scratch/race-$c" HELIOS_BENCH_STABLE=1 \
+        target/release/fig10 --quick --jobs 2 --server "$url" \
+        > "$scratch/server_race_$c.out" 2> "$scratch/server_race_$c.err" &
+    race_pids+=($!)
+done
+wait "${race_pids[0]}"
+race_rc_a=$?
+wait "${race_pids[1]}"
+race_rc_b=$?
+kill -INT "$serve_pid"
+wait "$serve_pid"
+set -e
+rm -f BENCH_sweep.json
+if [ -z "$url" ] || [ "$race_rc_a" -ne 0 ] || [ "$race_rc_b" -ne 0 ]; then
+    echo "ci: FAIL — concurrent fig10 --server clients failed (exits $race_rc_a, $race_rc_b)" >&2
+    exit 1
+fi
+race_hits=0
+race_sims=0
+for c in a b; do
+    cmp "$scratch/ref.out" "$scratch/server_race_$c.out" || {
+        echo "ci: FAIL — concurrent client $c stdout differs from the local run" >&2
+        exit 1
+    }
+    summary=$(sed -n 's/.*server cache: \([0-9]*\) hits, \([0-9]*\) simulated.*/\1 \2/p' \
+        "$scratch/server_race_$c.err")
+    [ -n "$summary" ] || {
+        echo "ci: FAIL — concurrent client $c printed no server cache line" >&2
+        exit 1
+    }
+    read -r hits sims <<< "$summary"
+    race_hits=$((race_hits + hits))
+    race_sims=$((race_sims + sims))
+done
+if [ "$race_sims" -ne 48 ] || [ "$race_hits" -ne 48 ]; then
+    echo "ci: FAIL — concurrent clients: $race_sims simulated + $race_hits hits, want 48 + 48" >&2
+    grep "server cache:" "$scratch"/server_race_*.err >&2 || true
+    exit 1
+fi
+echo "server smoke: concurrent clients simulated 48 cells once between them, stdout byte-identical"
+
 echo "ci: all green"

@@ -5,7 +5,8 @@
 //! tests and tooling can *read* those artifacts without adding a
 //! dependency. It handles exactly the JSON the emitters produce (objects,
 //! arrays, strings with escapes, numbers, booleans, null) plus arbitrary
-//! whitespace.
+//! whitespace. Nesting is limited to [`MAX_DEPTH`] arrays and objects, so a
+//! hostile document is an error rather than a stack overflow.
 //!
 //! # Examples
 //!
@@ -18,6 +19,11 @@
 //! ```
 
 use std::fmt;
+
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. Every
+/// document this crate writes nests under 10; the limit keeps recursion
+/// well inside the smallest thread stack a parse may run on.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -59,6 +65,7 @@ impl Json {
         let mut p = Parser {
             b: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -164,6 +171,8 @@ impl fmt::Display for Json {
 struct Parser<'a> {
     b: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the cursor.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -201,8 +210,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Parser::object),
+            Some(b'[') => self.nested(Parser::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.lit("true", Json::Bool(true)),
             Some(b'f') => self.lit("false", Json::Bool(false)),
@@ -210,6 +219,18 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parses one array or object a level deeper, failing past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, f: fn(&mut Self) -> Result<Json, JsonError>) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("arrays and objects nested too deep"));
+        }
+        self.depth += 1;
+        let v = f(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, JsonError> {
@@ -370,6 +391,24 @@ mod tests {
         for bad in ["{", "[1,]", "{\"a\" 1}", "tru", "1 2", "\"unterminated"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn nesting_is_limited_to_max_depth() {
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.pos, MAX_DEPTH);
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Json::parse(&objects).is_err());
+        // Deep enough to overflow a 2 MiB thread stack without the limit.
+        let hostile = "[".repeat(1_000_000);
+        let on_thread = std::thread::spawn(move || Json::parse(&hostile).is_err());
+        assert!(on_thread.join().unwrap());
     }
 
     #[test]

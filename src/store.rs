@@ -295,6 +295,23 @@ mod tests {
         assert_eq!(store.get(key).unwrap().cycles, 20);
     }
 
+    /// A line nested deeper than the JSON parser accepts is one skipped
+    /// line, not a stack overflow that takes the process down.
+    #[test]
+    fn a_deeply_nested_line_is_skipped() {
+        let path = scratch("deep");
+        let key = CellKey { trace: 3, cfg: 4 };
+        ResultStore::open(&path)
+            .unwrap()
+            .put(key, "w", "Helios", &stats(30))
+            .unwrap();
+        let mut f = OpenOptions::new().append(true).open(&path).unwrap();
+        writeln!(f, "{}", "[".repeat(100_000)).unwrap();
+        drop(f);
+        let loaded = std::thread::spawn(move || ResultStore::open(&path).unwrap().get(key));
+        assert_eq!(loaded.join().unwrap(), Some(stats(30)));
+    }
+
     /// Seeded mutation fuzz of the loader: whatever happens to some lines,
     /// `open` never fails or panics, skips at most the mutated lines, and
     /// still loads every intact line exactly.
