@@ -4,10 +4,15 @@
 //! fusion-region (cache access granularity) size (64 B).
 //!
 //! ```text
-//! cargo run --release -p helios-bench --bin ablation [--quick|--only a,b]
+//! cargo run --release -p helios-bench --bin ablation [--quick|--only a,b] [--jobs N] [--resume]
 //! ```
+//!
+//! Every (workload, variant) cell runs through the standard sweep, so
+//! `--jobs`, `--resume` and the other sweep flags and knobs work as for
+//! every figure. `--server` does not apply: the `sweepd` wire names only
+//! fusion modes, and the variants are full configurations.
 
-use helios::{geomean, FusionMode, PipeConfig, Progress, Report, SimRequest, Table};
+use helios::{geomean, FusionMode, PipeConfig, Report, Table};
 
 /// Every ablated configuration, built through the validating builder so a
 /// degenerate variant fails loudly here rather than hanging the sweep.
@@ -79,29 +84,26 @@ fn variants() -> Vec<(String, PipeConfig)> {
 }
 
 fn main() {
-    let workloads = helios_bench::select_workloads();
+    let opts = helios_bench::parse_opts();
     let vars = variants();
     eprintln!(
         "ablating {} variants over {} workloads…",
         vars.len(),
-        workloads.len()
+        opts.workloads.len()
     );
-    let progress = Progress::new(vars.len() * workloads.len());
+    let cfgs: Vec<PipeConfig> = vars.iter().map(|(_, cfg)| *cfg).collect();
+    let sweep = helios_bench::run_standard_sweep("ablation", &opts, &cfgs);
     let results: Vec<(String, f64)> = vars
         .iter()
         .map(|(name, cfg)| {
-            let vals: Vec<f64> = workloads
+            let vals: Vec<f64> = opts
+                .workloads
                 .iter()
-                .map(|w| {
-                    let ipc = SimRequest::new(w, *cfg).run().stats.ipc();
-                    progress.item_done(w.name, name);
-                    ipc
-                })
+                .filter_map(|w| sweep.get(w.name, *cfg).map(|s| s.ipc()))
                 .collect();
             (name.clone(), geomean(&vals))
         })
         .collect();
-    progress.finish("ablation");
 
     let base = results[0].1;
     let mut t = Table::new(vec![
@@ -122,5 +124,5 @@ fn main() {
         t,
     );
     report.note("(paper choices should be at or near the top of each group)");
-    report.print_and_emit();
+    helios_bench::finalize_sweep_report(report, &sweep);
 }

@@ -27,7 +27,9 @@
 pub mod census;
 pub mod server;
 
-use helios::{CellChaos, Report, Sweep, SweepOptions, SweepPolicy, Table, Workload};
+use helios::{
+    CellChaos, FusionMode, PipeConfig, Report, Sweep, SweepOptions, SweepPolicy, Table, Workload,
+};
 use std::time::Duration;
 
 /// The representative subset used by `--quick` (chosen to cover the paper's
@@ -261,22 +263,33 @@ pub fn sweep_options(id: &str, opts: &SweepOpts) -> SweepOptions {
 /// `HELIOS_SWEEP_STOP_AFTER`) the process exits with
 /// [`helios::exit::INTERRUPTED`] — finished cells are durable in the
 /// journal, so the user reruns with `--resume` rather than reading a
-/// report with silently missing rows.
-pub fn run_standard_sweep(id: &str, opts: &SweepOpts, modes: &[helios::FusionMode]) -> Sweep {
-    if let Some(url) = &opts.server {
-        // Thin-client mode: the daemon simulates (or answers from its
-        // result cache); the rebuilt sweep feeds the unchanged report
-        // path, so stdout and the JSON artifact stay byte-identical to a
-        // local run. Checkpoints/resume stay local-only — the daemon's
-        // cache subsumes them.
-        let sweep = server::client::remote_sweep(url, &opts.workloads, modes).unwrap_or_else(|e| {
-            eprintln!("error: --server {url}: {e}");
-            std::process::exit(helios::exit::FAILED);
-        });
-        return sweep;
+/// report with silently missing rows. A grid column is a fusion mode or a
+/// full [`PipeConfig`]; `--server` applies only when every column is a
+/// mode of the default core, because the wire names modes.
+pub fn run_standard_sweep<C>(id: &str, opts: &SweepOpts, grid: &[C]) -> Sweep
+where
+    C: Into<PipeConfig> + Copy,
+{
+    let mode = |cfg: PipeConfig| (cfg == cfg.fusion.into()).then_some(cfg.fusion);
+    let modes: Option<Vec<FusionMode>> = grid.iter().map(|&c| mode(c.into())).collect();
+    match (&opts.server, modes) {
+        (Some(url), Some(modes)) => {
+            // Thin-client mode: the daemon simulates (or answers from its
+            // result cache); the rebuilt sweep feeds the unchanged report
+            // path, so stdout and the JSON artifact stay byte-identical to
+            // a local run. Checkpoints/resume stay local-only — the
+            // daemon's cache subsumes them.
+            let sweep = server::client::remote_sweep(url, &opts.workloads, &modes);
+            return sweep.unwrap_or_else(|e| {
+                eprintln!("error: --server {url}: {e}");
+                std::process::exit(helios::exit::FAILED);
+            });
+        }
+        (Some(_), None) => eprintln!("note: --server ignored: the configs are not fusion modes"),
+        (None, _) => {}
     }
     let sweep_opts = sweep_options(id, opts);
-    let sweep = helios::run_sweep_opts(&opts.workloads, modes, &sweep_opts).unwrap_or_else(|e| {
+    let sweep = helios::run_sweep_opts(&opts.workloads, grid, &sweep_opts).unwrap_or_else(|e| {
         eprintln!("error: sweep setup failed: {e}");
         std::process::exit(helios::exit::FAILED);
     });
@@ -363,13 +376,13 @@ pub fn emit_profile_report() {
     }
 }
 
-/// Parses the common CLI arguments and returns the selected workloads.
-/// (Use [`parse_opts`] when the binary also needs `--jobs`.)
+/// Parses the common CLI arguments and returns the selected workloads,
+/// for the census binaries (fig02/04/05/table1): they analyse traces
+/// rather than sweep cells, so `--jobs`, `--resume` and `--server` have no
+/// effect on them.
 pub fn select_workloads() -> Vec<Workload> {
     let opts = parse_opts();
     if opts.server.is_some() {
-        // Census binaries (fig02/04/05/table1/ablation) analyse traces
-        // rather than sweeping configs; there is nothing to offload.
         eprintln!("note: --server ignored: this binary censuses traces locally");
     }
     opts.workloads

@@ -98,6 +98,7 @@ fn parse_cell(cell: &Json) -> Result<RunResult, String> {
     Ok(RunResult {
         workload: static_name(name)?,
         mode,
+        cfg: mode.into(),
         stats,
     })
 }

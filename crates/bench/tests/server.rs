@@ -5,7 +5,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Barrier};
+use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
 
 use helios::{
@@ -473,4 +473,52 @@ fn connections_past_the_cap_get_503_until_one_closes() {
         }
     };
     assert!(sweep.is_complete());
+}
+
+/// Stopping the daemon mid-sweep cancels the queued job like a disconnect
+/// does: the cell in flight finishes, then the stream ends, and the client
+/// reports the missing `done` event instead of waiting forever.
+#[test]
+fn stop_mid_sweep_ends_the_client_stream() {
+    let dir = scratch("stop");
+    let server = Arc::new(
+        Server::bind(&ServerConfig {
+            addr: "127.0.0.1:0".to_string(),
+            jobs: 1,
+            cache_dir: dir,
+            cell_timeout: None,
+        })
+        .expect("bind ephemeral port"),
+    );
+    let url = format!("http://{}", server.local_addr());
+    let authority = url.strip_prefix("http://").unwrap().to_string();
+    let runner = server.clone();
+    let accept = std::thread::spawn(move || runner.run());
+    let workloads: Vec<Workload> = ["crc32", "bitcount", "fft", "susan"]
+        .iter()
+        .map(|n| helios::workload(n).expect("registered"))
+        .collect();
+    let (tx, rx) = mpsc::channel();
+    let client = std::thread::spawn(move || {
+        let _ = tx.send(remote_sweep_with_summary(&url, &workloads, &FusionMode::ALL).map(|_| ()));
+    });
+
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let simulated = || {
+        health(&authority)
+            .get("cells_simulated")
+            .and_then(Json::as_u64)
+    };
+    while simulated() == Some(0) {
+        assert!(Instant::now() < deadline, "no cell finished within 60 s");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    server.stop();
+    let answer = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the client returns after stop()");
+    let err = answer.expect_err("a stopped daemon sends no done event");
+    assert!(err.contains("ended without a done event"), "{err}");
+    client.join().expect("client thread");
+    accept.join().expect("accept loop exits cleanly");
 }

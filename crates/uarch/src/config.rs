@@ -115,6 +115,14 @@ impl Default for PipeConfig {
     }
 }
 
+/// The default Table II core under one fusion mode, so a sweep grid can
+/// name its columns by mode ([`PipeConfig::with_fusion`]).
+impl From<FusionMode> for PipeConfig {
+    fn from(fusion: FusionMode) -> PipeConfig {
+        PipeConfig::with_fusion(fusion)
+    }
+}
+
 /// Why a [`PipeConfigBuilder`] rejected a configuration.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum ConfigError {

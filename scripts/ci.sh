@@ -132,6 +132,28 @@ unset HELIOS_BENCH_STABLE
 rm -f BENCH_sweep.json
 echo "resume smoke: interrupted at 17/48, resumed byte-identically"
 
+echo "==> resilience smoke: interrupted ablation resumes byte-identically"
+# ablation's 17 config variants run through the same executor as every
+# figure: an uninterrupted run, a run stopped after 40 simulated cells
+# (must exit 130), then a --resume run whose stdout must match the first.
+ablation=(cargo run --release -q -p helios-bench --bin ablation -- --quick --jobs 2)
+rm -f "$scratch/ablation.ckpt.jsonl"
+"${ablation[@]}" > "$scratch/ablation_ref.out" 2> /dev/null
+set +e
+HELIOS_SWEEP_STOP_AFTER=40 "${ablation[@]}" > /dev/null 2> /dev/null
+abl_rc=$?
+set -e
+if [ "$abl_rc" -ne 130 ]; then
+    echo "ci: FAIL — interrupted ablation exited $abl_rc, expected 130" >&2
+    exit 1
+fi
+"${ablation[@]}" --resume > "$scratch/ablation_resumed.out" 2> /dev/null
+cmp "$scratch/ablation_ref.out" "$scratch/ablation_resumed.out" || {
+    echo "ci: FAIL — resumed ablation stdout differs from uninterrupted run" >&2
+    exit 1
+}
+echo "ablation resume smoke: interrupted at 40/136, resumed byte-identically"
+
 echo "==> resilience smoke: sweep-executor chaos soak"
 cargo run --release -q -p helios-bench --bin soak -- --sweep-chaos --quick --jobs 2
 

@@ -2,7 +2,8 @@
 //! trace-reusing, fault-isolating sweep engine.
 //!
 //! Every figure and table is driven by [`run_sweep_opts`], and every cell —
-//! local or served by `sweepd` — runs through [`run_cell`]. Two properties
+//! local or served by `sweepd` — is claimed from a [`Sched`] and runs
+//! through its one cell executor, `Sched::run_cell`. Two properties
 //! keep it fast without changing any result:
 //!
 //! * **Record once, replay many** — each workload's functional execution is
@@ -11,9 +12,10 @@
 //!   [`TraceStore`] attached the recording is *persistent* and
 //!   content-addressed: later sweeps (and concurrent processes) replay it
 //!   block-at-a-time straight off disk without recording anything.
-//! * **Parallel cells** — (workload × mode) cells are independent
-//!   simulations, executed by a `std::thread::scope` worker pool. Results
-//!   are stored by cell index, so the sweep order is workload-major and
+//! * **Parallel cells** — (workload × config) cells are independent
+//!   simulations. The grid goes to a [`Sched`] as one job, and a
+//!   `std::thread::scope` worker pool claims its cells. Each result lands
+//!   at its cell's index, so the sweep order is workload-major and
 //!   byte-identical regardless of `jobs` or completion order.
 //!
 //! And two more keep a long campaign *alive* (DESIGN.md §14):
@@ -31,20 +33,19 @@
 //!   the store and only simulates the rest; the merged result is
 //!   byte-identical to an uninterrupted run.
 
-use crate::store::{CellKey, ResultStore};
+use crate::sched::Sched;
+use crate::store::ResultStore;
 use helios_core::FusionMode;
 use helios_emu::{StoreStats, Trace, TraceStore, UopSource};
 use helios_uarch::{
-    CellChaos, CellFault, ObsOpts, Observer, PipeConfig, Pipeline, SimError, SimStats,
-    StatsRegistry,
+    CellChaos, ObsOpts, Observer, PipeConfig, Pipeline, SimError, SimStats, StatsRegistry,
 };
 use helios_workloads::Workload;
 use std::collections::{BTreeMap, HashMap};
 use std::io;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One simulation outcome.
@@ -52,8 +53,10 @@ use std::time::{Duration, Instant};
 pub struct RunResult {
     /// Benchmark name.
     pub workload: &'static str,
-    /// Fusion configuration simulated.
+    /// Fusion mode simulated (`cfg.fusion`).
     pub mode: FusionMode,
+    /// Full pipeline configuration simulated.
+    pub cfg: PipeConfig,
     /// Collected statistics.
     pub stats: SimStats,
 }
@@ -347,8 +350,8 @@ pub struct SweepOptions {
     /// Stop claiming new cells after this many have been simulated (store
     /// hits do not count) — a deterministic stand-in for `kill -9` in
     /// checkpoint/resume tests at `jobs: 1`; with more workers, cells
-    /// already in flight still finish. The sweep reports itself
-    /// interrupted, exactly as for SIGINT.
+    /// already in flight still finish. It cancels this sweep alone, and
+    /// the sweep reports itself interrupted, exactly as for SIGINT.
     pub stop_after: Option<usize>,
     /// Content-addressed persistent trace corpus (`None` keeps recordings
     /// in memory for this sweep only). Corrupt or stale entries are
@@ -360,63 +363,54 @@ pub struct SweepOptions {
     pub handle_interrupt: bool,
 }
 
-/// Results of a full (workloads × modes) sweep, indexable by both axes.
+/// Results of a full (workloads × configs) sweep, indexable by both axes.
 /// Failed, timed-out, and skipped cells are quarantined in
 /// [`Sweep::failures`] rather than aborting the sweep; [`Sweep::get`]
 /// returns `None` for them.
 #[derive(Clone, Debug, Default)]
 pub struct Sweep {
     results: Vec<RunResult>,
-    /// (workload, mode) → index into `results`. `get` is called in nested
-    /// loops by every figure binary; the linear scan it replaces was O(n)
-    /// per lookup over 192 cells.
-    index: HashMap<(&'static str, FusionMode), usize>,
+    /// (workload, [`PipeConfig::digest`]) → index into `results`. `get` is
+    /// called in nested loops by every figure binary; the linear scan it
+    /// replaces was O(n) per lookup over 192 cells.
+    index: HashMap<(&'static str, u64), usize>,
     /// Workload names in sweep (workload-major execution) order.
     order: Vec<&'static str>,
     /// Non-successful cells, in workload-major order.
     failures: Vec<CellReport>,
-    /// Whether the sweep stopped early (SIGINT or `stop_after`).
+    /// Whether the sweep stopped before every cell was attempted (SIGINT
+    /// or `stop_after`).
     interrupted: bool,
     /// Cells answered from the result store instead of simulated.
     restored: usize,
 }
 
 impl Sweep {
-    /// Builds the indexed sweep from results in execution order.
-    fn from_results(results: Vec<RunResult>) -> Sweep {
-        let mut index = HashMap::with_capacity(results.len());
-        let mut order = Vec::new();
-        for (i, r) in results.iter().enumerate() {
-            if index.insert((r.workload, r.mode), i).is_none() && !order.contains(&r.workload) {
-                order.push(r.workload);
-            }
-        }
-        Sweep {
-            results,
-            index,
-            order,
-            failures: Vec::new(),
-            interrupted: false,
-            restored: 0,
-        }
-    }
-
-    /// Reassembles a sweep from externally produced cells — the thin client
-    /// of a sweep server rebuilds the exact structure a local
-    /// [`run_sweep_opts`] over the same grid would have produced, so every
-    /// downstream report renders identically. `order` is the requested
-    /// workload order (which, as in a local sweep, lists every requested
-    /// workload even if all of its cells failed); `failures` are the
-    /// non-successful cells in workload-major order.
+    /// Assembles a sweep from its cells — as [`run_sweep_opts`] does, and
+    /// as the thin client of a sweep server does to rebuild the exact
+    /// structure a local sweep over the same grid would have produced, so
+    /// every downstream report renders identically. `order` is the
+    /// requested workload order (which lists every requested workload even
+    /// if all of its cells failed); `results` and `failures` are in
+    /// workload-major order.
     pub fn assemble(
         results: Vec<RunResult>,
         order: Vec<&'static str>,
         failures: Vec<CellReport>,
     ) -> Sweep {
-        let mut sweep = Sweep::from_results(results);
-        sweep.order = order;
-        sweep.failures = failures;
-        sweep
+        let index = results
+            .iter()
+            .enumerate()
+            .map(|(i, r)| ((r.workload, r.cfg.digest()), i))
+            .collect();
+        Sweep {
+            results,
+            index,
+            order,
+            failures,
+            interrupted: false,
+            restored: 0,
+        }
     }
 
     /// All results, in execution order (workload-major).
@@ -424,11 +418,12 @@ impl Sweep {
         &self.results
     }
 
-    /// The result for one (workload, mode) cell; `None` when the cell
-    /// failed, timed out, was skipped, or was never part of the sweep.
-    pub fn get(&self, workload: &str, mode: FusionMode) -> Option<&SimStats> {
+    /// The result for one (workload, config) cell — the config given in
+    /// full or as a [`FusionMode`] of the default core; `None` when the
+    /// cell failed, timed out, was skipped, or was never part of the sweep.
+    pub fn get(&self, workload: &str, cfg: impl Into<PipeConfig>) -> Option<&SimStats> {
         self.index
-            .get(&(workload, mode))
+            .get(&(workload, cfg.into().digest()))
             .map(|&i| &self.results[i].stats)
     }
 
@@ -443,7 +438,8 @@ impl Sweep {
         &self.failures
     }
 
-    /// Whether the sweep stopped early (SIGINT or a `stop_after` cap).
+    /// Whether the sweep stopped before every cell was attempted (SIGINT
+    /// or a `stop_after` cap).
     pub fn interrupted(&self) -> bool {
         self.interrupted
     }
@@ -559,8 +555,8 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 // --- SIGINT: stop claiming cells, let the durable journal do the rest ----
 
-/// Set by the SIGINT handler; sweep workers stop claiming new cells when it
-/// goes high. Reset at the start of every sweep.
+/// Set only by the SIGINT handler; sweep workers stop claiming new cells
+/// when it goes high.
 static SWEEP_INTERRUPTED: AtomicBool = AtomicBool::new(false);
 
 const SIGINT: i32 = 2;
@@ -587,74 +583,24 @@ pub fn install_interrupt_handler() {
     unsafe { signal(SIGINT, sigint_flag_setter as extern "C" fn(i32) as usize) };
 }
 
-/// Whether an interrupt (SIGINT or `stop_after`) has been requested for the
-/// sweep currently in flight.
+/// Whether the process has received SIGINT. It stays set: every sweep
+/// started afterwards stops before its first cell.
 pub fn sweep_interrupted() -> bool {
     SWEEP_INTERRUPTED.load(Ordering::SeqCst)
-}
-
-// --- Trace cache ---------------------------------------------------------
-
-/// Per-workload trace handles for one sweep. A workload's trace is obtained
-/// by the first worker that needs it, shared by every concurrent cell of
-/// that workload, and dropped as soon as its last cell completes. Without a
-/// store the trace is an in-memory recording (peak memory O(jobs) whole
-/// traces); with a [`TraceStore`] the handle is a verified *file* and every
-/// cell streams it block-at-a-time, so peak memory drops to O(jobs × block)
-/// and nothing is ever recorded twice — within this sweep or across sweeps.
-/// Recording *errors* are cached too, so a starved workload fails each of
-/// its cells fast instead of re-recording per cell.
-struct TraceCache {
-    slots: Vec<Mutex<Option<Result<Trace, String>>>>,
-    /// Cells still outstanding per workload; reaching zero frees the slot.
-    remaining: Vec<AtomicUsize>,
-}
-
-impl TraceCache {
-    fn new(workloads: usize, modes: usize) -> TraceCache {
-        TraceCache {
-            slots: (0..workloads).map(|_| Mutex::new(None)).collect(),
-            remaining: (0..workloads).map(|_| AtomicUsize::new(modes)).collect(),
-        }
-    }
-
-    /// The trace for workload `wi`, recording (or fetching from `store`) on
-    /// first demand. Concurrent requests for the same workload wait on its
-    /// slot rather than double-recording.
-    fn get(&self, wi: usize, w: &Workload, store: Option<&TraceStore>) -> Result<Trace, String> {
-        let mut slot = self.slots[wi].lock().unwrap();
-        if let Some(r) = &*slot {
-            return r.clone();
-        }
-        // `sweepd` reports recording errors in the same shape.
-        let r = match store {
-            Some(s) => w.stored(s),
-            None => w.trace().map_err(helios_emu::StoreError::Record),
-        }
-        .map_err(|e| format!("recording {}: {e}", w.name));
-        *slot = Some(r.clone());
-        r
-    }
-
-    /// Marks one of workload `wi`'s cells finished, freeing the recording
-    /// after the last one.
-    fn cell_finished(&self, wi: usize) {
-        if self.remaining[wi].fetch_sub(1, Ordering::AcqRel) == 1 {
-            self.slots[wi].lock().unwrap().take();
-        }
-    }
 }
 
 // --- The resilient executor ----------------------------------------------
 
 /// The resilient sweep executor behind every figure binary (DESIGN.md §14):
-/// every (workload × mode) cell runs through [`run_cell`] on a pool of
-/// `opts.jobs` workers, with per-cell fault isolation, bounded retry and
-/// quarantine, optional wall-clock timeouts, an optional crash-safe
-/// checkpoint [`ResultStore`] with resume, optional deterministic chaos
-/// injection, and cooperative interrupt handling. Results are
-/// workload-major and identical for any worker count; healthy cells always
-/// complete, and every abnormal cell is reported in [`Sweep::failures`].
+/// the (workload × config) grid goes to a [`Sched`] as one job, and
+/// `opts.jobs` workers run its cells with per-cell fault isolation, bounded
+/// retry and quarantine, optional wall-clock timeouts, an optional
+/// crash-safe checkpoint [`ResultStore`] with resume, optional chaos
+/// injection, and cooperative interrupt handling. A grid column is a full
+/// [`PipeConfig`] or a [`FusionMode`] of the default core. Results are
+/// workload-major and identical for any worker count; every abnormal cell
+/// is reported in [`Sweep::failures`]. SIGINT and `opts.stop_after` cancel
+/// this sweep's job only; cells never claimed are [`CellOutcome::Skipped`].
 ///
 /// # Errors
 ///
@@ -662,14 +608,14 @@ impl TraceCache {
 /// Cell-level problems — including trace-store corruption, which is
 /// quarantined and re-recorded — never surface here; they are handled per
 /// cell.
-pub fn run_sweep_opts(
+pub fn run_sweep_opts<C: Into<PipeConfig> + Copy>(
     workloads: &[Workload],
-    modes: &[FusionMode],
+    grid: &[C],
     opts: &SweepOptions,
 ) -> io::Result<Sweep> {
-    let total = workloads.len() * modes.len();
+    let cfgs: Vec<PipeConfig> = grid.iter().map(|&c| c.into()).collect();
+    let total = workloads.len() * cfgs.len();
     let jobs = if opts.jobs == 0 { default_jobs() } else { opts.jobs }.clamp(1, total.max(1));
-    SWEEP_INTERRUPTED.store(false, Ordering::SeqCst);
     if opts.handle_interrupt {
         install_interrupt_handler();
     }
@@ -680,50 +626,40 @@ pub fn run_sweep_opts(
     };
     let store_before: Option<StoreStats> = opts.trace_store.as_ref().map(TraceStore::stats);
 
-    let outcomes: Vec<Mutex<Option<CellOutcome>>> = (0..total).map(|_| Mutex::new(None)).collect();
+    let sched = Sched::new(
+        opts.policy,
+        opts.chaos.clone(),
+        result_store,
+        opts.trace_store.clone(),
+    );
+    let arcs: Vec<Arc<Workload>> = workloads.iter().cloned().map(Arc::new).collect();
+    let (ticket, events) = sched.submit(&arcs, &cfgs);
+    let cell = |i: usize| (&workloads[i / cfgs.len()], cfgs[i % cfgs.len()]);
     let reporter = Progress::new(total);
-    let traces = TraceCache::new(workloads.len(), modes.len());
-    let next = AtomicUsize::new(0);
     let simulated = AtomicUsize::new(0); // for `stop_after`
-    let restored = AtomicUsize::new(0);
+    let mut outcomes: Vec<Option<CellOutcome>> = vec![None; total];
     std::thread::scope(|s| {
         for _ in 0..jobs {
             s.spawn(|| loop {
-                if SWEEP_INTERRUPTED.load(Ordering::SeqCst) {
-                    break;
+                let done = simulated.load(Ordering::Relaxed);
+                if opts.stop_after.is_some_and(|cap| done >= cap) || sweep_interrupted() {
+                    sched.cancel(&ticket);
                 }
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
-                    break;
-                }
-                if opts
-                    .stop_after
-                    .is_some_and(|cap| simulated.load(Ordering::Relaxed) >= cap)
-                {
-                    SWEEP_INTERRUPTED.store(true, Ordering::SeqCst);
-                    break;
-                }
-                let (wi, mode) = (i / modes.len(), modes[i % modes.len()]);
-                let w = &workloads[wi];
-                let (outcome, from_store) = run_cell(
-                    w,
-                    mode,
-                    &opts.policy,
-                    opts.chaos.as_ref(),
-                    result_store.as_ref(),
-                    || traces.get(wi, w, opts.trace_store.as_ref()),
-                );
-                let counter = if from_store { &restored } else { &simulated };
-                counter.fetch_add(1, Ordering::Relaxed);
-                *outcomes[i].lock().unwrap() = Some(outcome);
-                traces.cell_finished(wi);
-                reporter.item_done(w.name, mode.name());
+                let Some(ran) = sched.run_next() else { break };
+                simulated.fetch_add(usize::from(ran), Ordering::Relaxed);
             });
         }
+        for event in events {
+            let (w, cfg) = cell(event.index);
+            reporter.item_done(w.name, cfg.fusion.name());
+            outcomes[event.index] = Some(event.outcome);
+        }
+        // Every cell has reported or been dropped: release the idle workers.
+        sched.stop();
     });
-    let restored = restored.into_inner();
+    let restored = sched.counts().1 as usize;
 
-    let interrupted = SWEEP_INTERRUPTED.load(Ordering::SeqCst);
+    let interrupted = outcomes.iter().any(Option::is_none);
     if interrupted {
         eprintln!(
             "\rsweep interrupted: {}/{} cells finished (journal is durable; rerun with --resume)",
@@ -751,23 +687,19 @@ pub fn run_sweep_opts(
 
     let mut results = Vec::new();
     let mut failures = Vec::new();
-    for (i, slot) in outcomes.into_iter().enumerate() {
-        let (w, mode) = (workloads[i / modes.len()].name, modes[i % modes.len()]);
-        match slot.into_inner().unwrap() {
-            Some(CellOutcome::Ok(stats)) => results.push(RunResult {
-                workload: w,
-                mode,
+    for (i, outcome) in outcomes.into_iter().enumerate() {
+        let (w, cfg) = cell(i);
+        match outcome.unwrap_or(CellOutcome::Skipped) {
+            CellOutcome::Ok(stats) => results.push(RunResult {
+                workload: w.name,
+                mode: cfg.fusion,
+                cfg,
                 stats: *stats,
             }),
-            Some(outcome) => failures.push(CellReport {
-                workload: w,
-                mode,
+            outcome => failures.push(CellReport {
+                workload: w.name,
+                mode: cfg.fusion,
                 outcome,
-            }),
-            None => failures.push(CellReport {
-                workload: w,
-                mode,
-                outcome: CellOutcome::Skipped,
             }),
         }
     }
@@ -777,104 +709,12 @@ pub fn run_sweep_opts(
         }
     }
 
-    let mut sweep = Sweep::from_results(results);
-    sweep.order = workloads.iter().map(|w| w.name).collect();
-    sweep.failures = failures;
-    sweep.interrupted = interrupted;
-    sweep.restored = restored;
-    Ok(sweep)
-}
-
-/// Runs one sweep cell — the single cell executor behind both
-/// [`run_sweep_opts`] and the `sweepd` daemon's workers. In order:
-///
-/// 1. a `store` lookup: a hit returns at once, without acquiring a trace;
-/// 2. trace acquisition through `trace` (a recording error fails the cell);
-/// 3. simulation under `catch_unwind` and the policy's per-attempt
-///    deadline, with bounded retry, capped exponential backoff, and
-///    deterministic `chaos` injection;
-/// 4. on success, an append to `store`.
-///
-/// Returns the final outcome and whether it came from the store; never
-/// panics.
-pub fn run_cell(
-    w: &Workload,
-    mode: FusionMode,
-    policy: &SweepPolicy,
-    chaos: Option<&CellChaos>,
-    store: Option<&ResultStore>,
-    trace: impl FnOnce() -> Result<Trace, String>,
-) -> (CellOutcome, bool) {
-    let cfg = PipeConfig::with_fusion(mode);
-    let key = store.map(|s| {
-        let key = CellKey {
-            trace: TraceStore::digest(&w.program),
-            cfg: cfg.digest(),
-        };
-        (s, key)
-    });
-    if let Some(stats) = key.and_then(|(s, k)| s.get(k)) {
-        return (CellOutcome::Ok(Box::new(stats)), true);
-    }
-    let trace = match trace() {
-        Ok(t) => t,
-        Err(error) => return (CellOutcome::Failed { error, attempts: 1 }, false),
-    };
-    let chaos = chaos.and_then(|c| c.fault_for(w.name, mode.name()));
-    let max_attempts = policy.max_attempts.max(1);
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        // An injected timeout is an already-expired deadline, so the real
-        // timeout machinery (deadline poll in the pipeline run loop, the
-        // retry/quarantine path here) is what gets exercised.
-        let deadline = match chaos {
-            Some(CellFault::Timeout) => Some(Instant::now()),
-            _ => policy.cell_timeout.map(|d| Instant::now() + d),
-        };
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if chaos == Some(CellFault::Panic) {
-                panic!("injected chaos panic");
-            }
-            SimRequest::new(w, cfg)
-                .replaying(&trace)
-                .budget(policy.fuel_factor)
-                .with_deadline(deadline)
-                .try_run()
-        }));
-        let outcome = match result {
-            Ok(Ok(run)) => {
-                if let Some((s, k)) = key {
-                    if let Err(e) = s.put(k, w.name, mode.name(), &run.stats) {
-                        // Costs a future re-simulation, never a wrong answer.
-                        eprintln!("\rwarning: result store append failed: {e}");
-                    }
-                }
-                return (CellOutcome::Ok(Box::new(run.stats)), false);
-            }
-            Ok(Err(SimError::WallClockTimeout { limit_ms, .. })) => {
-                CellOutcome::TimedOut { limit_ms, attempts }
-            }
-            Ok(Err(e)) => CellOutcome::Failed {
-                error: e.to_string(),
-                attempts,
-            },
-            Err(p) => CellOutcome::Failed {
-                error: panic_message(&*p),
-                attempts,
-            },
-        };
-        if attempts >= max_attempts || sweep_interrupted() {
-            return (outcome, false);
-        }
-        let backoff = policy
-            .backoff_ms
-            .saturating_mul(1u64 << (attempts - 1).min(16))
-            .min(policy.backoff_cap_ms);
-        if backoff > 0 {
-            std::thread::sleep(Duration::from_millis(backoff));
-        }
-    }
+    let order = workloads.iter().map(|w| w.name).collect();
+    Ok(Sweep {
+        interrupted,
+        restored,
+        ..Sweep::assemble(results, order, failures)
+    })
 }
 
 #[cfg(test)]

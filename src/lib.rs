@@ -23,16 +23,18 @@ pub mod fuzz;
 mod json;
 mod metrics;
 mod report;
+mod sched;
 mod store;
 
 pub use experiment::{
-    default_jobs, install_interrupt_handler, panic_message, run_cell, run_sweep_opts,
-    sweep_interrupted, CellOutcome, CellReport, Checkpoint, Progress, RunResult, SimRequest,
-    SimRun, Sweep, SweepOptions, SweepPolicy,
+    default_jobs, install_interrupt_handler, panic_message, run_sweep_opts, sweep_interrupted,
+    CellOutcome, CellReport, Checkpoint, Progress, RunResult, SimRequest, SimRun, Sweep,
+    SweepOptions, SweepPolicy,
 };
 pub use json::{Json, JsonError};
 pub use metrics::{geomean, normalized_ipc, speedup_pct};
 pub use report::{format_row, results_dir, Report, Table};
+pub use sched::{CellEvent, Sched, Ticket};
 pub use store::ResultStore;
 
 pub use helios_core::{FusionMode, HeliosParams};

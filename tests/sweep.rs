@@ -1,9 +1,10 @@
 //! Sweep-engine integration tests: recorded-replay equivalence (in-memory
-//! and streamed from a trace store), parallel determinism, and loud failure
-//! on starved recordings.
+//! and streamed from a trace store), parallel determinism, config-keyed
+//! cells, per-sweep `stop_after`, and loud failure on starved recordings.
 
-use helios::{run_sweep_opts, FusionMode, SimRequest, SweepOptions, TraceStore};
+use helios::{run_sweep_opts, FusionMode, PipeConfig, SimRequest, SweepOptions, TraceStore};
 use helios_emu::EmuError;
+use std::sync::Barrier;
 
 /// The pipeline consumes a retired-µ-op sequence; whether it comes from a
 /// live emulator (`RetireStream`), a shared in-memory recording, or an
@@ -95,4 +96,97 @@ fn starved_recording_fails_loudly() {
         w.trace().unwrap_err(),
         EmuError::OutOfFuel { .. }
     ));
+}
+
+/// A sweep column is a full `PipeConfig`, not just a fusion mode: two
+/// configs that share `FusionMode::Helios` are two distinct cells, each
+/// equal to a standalone run of its config, for any worker count.
+#[test]
+fn cells_are_keyed_by_config_not_mode() {
+    let ws: Vec<_> = ["sha", "qsort"]
+        .iter()
+        .map(|n| helios::workload(n).unwrap())
+        .collect();
+    let nest1 = PipeConfig::builder()
+        .fusion(FusionMode::Helios)
+        .tweak(|c| c.helios.max_nest = 1)
+        .build()
+        .unwrap();
+    let cfgs = [
+        PipeConfig::from(FusionMode::NoFusion),
+        PipeConfig::from(FusionMode::Helios),
+        nest1,
+    ];
+    let sweep = |jobs| {
+        let opts = SweepOptions {
+            jobs,
+            ..Default::default()
+        };
+        run_sweep_opts(&ws, &cfgs, &opts).unwrap()
+    };
+    let (serial, parallel) = (sweep(1), sweep(3));
+    assert!(serial.is_complete() && parallel.is_complete());
+    assert_eq!(serial.results().len(), ws.len() * cfgs.len());
+    for w in &ws {
+        let paper = serial
+            .get(w.name, FusionMode::Helios)
+            .expect("paper-params cell");
+        let nested = serial.get(w.name, nest1).expect("max_nest = 1 cell");
+        assert_ne!(
+            paper, nested,
+            "{}: the two Helios cells are distinct",
+            w.name
+        );
+        for cfg in cfgs {
+            let alone = SimRequest::new(w, cfg).run().stats;
+            assert_eq!(serial.get(w.name, cfg), Some(&alone), "{}", w.name);
+        }
+    }
+    for (a, b) in serial.results().iter().zip(parallel.results()) {
+        assert_eq!((a.workload, a.cfg), (b.workload, b.cfg), "ordering differs");
+        assert_eq!(
+            a.stats,
+            b.stats,
+            "{}/{}: stats differ",
+            a.workload,
+            a.mode.name()
+        );
+    }
+}
+
+/// `stop_after` cancels its own sweep only: a full sweep running beside it
+/// in the same process completes.
+#[test]
+fn stop_after_stops_only_its_own_sweep() {
+    let ws: Vec<_> = ["crc32", "bitcount", "fft"]
+        .iter()
+        .map(|n| helios::workload(n).unwrap())
+        .collect();
+    let modes = [FusionMode::NoFusion, FusionMode::CsfSbr, FusionMode::Helios];
+    let start = Barrier::new(2);
+    let (capped, full) = std::thread::scope(|s| {
+        let capped = s.spawn(|| {
+            start.wait();
+            let opts = SweepOptions {
+                jobs: 1,
+                stop_after: Some(1),
+                ..Default::default()
+            };
+            run_sweep_opts(&ws, &modes, &opts).unwrap()
+        });
+        let full = s.spawn(|| {
+            start.wait();
+            let opts = SweepOptions {
+                jobs: 1,
+                ..Default::default()
+            };
+            run_sweep_opts(&ws, &modes, &opts).unwrap()
+        });
+        (capped.join().unwrap(), full.join().unwrap())
+    });
+    assert!(capped.interrupted());
+    assert_eq!(capped.results().len(), 1, "exactly one cell simulated");
+    assert!(full.is_complete(), "the other sweep ran every cell");
+    assert_eq!(full.results().len(), ws.len() * modes.len());
+    assert!(!helios::sweep_interrupted(), "stop_after is not a SIGINT");
 }
