@@ -10,9 +10,7 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
-use helios::{
-    workload, CellOutcome, CellReport, FusionMode, Json, RunResult, SimStats, Sweep, Workload,
-};
+use helios::{CellOutcome, CellReport, FusionMode, Json, RunResult, SimStats, Sweep, Workload};
 
 use super::{EVENT_SCHEMA, REQUEST_SCHEMA};
 
@@ -67,24 +65,33 @@ fn parse_event(line: &str) -> Result<Json, String> {
     }
 }
 
-/// The static registry name for a wire workload name — results must carry
-/// `&'static str` names like the local executor's.
-fn static_name(name: &str) -> Result<&'static str, String> {
-    workload(name)
-        .map(|w| w.name)
-        .ok_or_else(|| format!("server reported unknown workload `{name}`"))
+/// One cell of the requested grid: workload, mode, and whether the `done`
+/// event has answered it.
+type GridCell = (&'static str, FusionMode, bool);
+
+/// Marks `entry`'s cell (`what` is "cell" or "failure") answered in `grid`
+/// and returns it, named by the request's `&'static str` as a local sweep's
+/// cells are. A cell outside the grid, or answered before, is an error.
+fn claim(grid: &mut [GridCell], entry: &Json, what: &str) -> Result<GridCell, String> {
+    let name = entry.get("workload").and_then(Json::as_str);
+    let mode = entry.get("mode").and_then(Json::as_str).and_then(FusionMode::parse);
+    let (Some(name), Some(mode)) = (name, mode) else {
+        return Err(format!("{what} missing `workload` or a known `mode`"));
+    };
+    let mut cells = grid.iter_mut().filter(|c| c.0 == name && c.1 == mode).peekable();
+    let requested = cells.peek().is_some();
+    match cells.find(|c| !c.2) {
+        Some(cell) => {
+            cell.2 = true;
+            Ok(*cell)
+        }
+        None if requested => Err(format!("server answered {what} {name}/{} twice", mode.name())),
+        None => Err(format!("server answered {what} {name}/{} outside the grid", mode.name())),
+    }
 }
 
-fn parse_cell(cell: &Json) -> Result<RunResult, String> {
-    let name = cell
-        .get("workload")
-        .and_then(Json::as_str)
-        .ok_or("cell missing `workload`")?;
-    let mode = cell
-        .get("mode")
-        .and_then(Json::as_str)
-        .and_then(FusionMode::parse)
-        .ok_or("cell missing a known `mode`")?;
+fn parse_cell(grid: &mut [GridCell], cell: &Json) -> Result<RunResult, String> {
+    let (name, mode, _) = claim(grid, cell, "cell")?;
     let kv = cell
         .get("stats")
         .and_then(Json::as_object)
@@ -96,23 +103,15 @@ fn parse_cell(cell: &Json) -> Result<RunResult, String> {
     let stats = SimStats::from_kv(pairs.ok_or("non-integer stat value")?)
         .map_err(|e| format!("{name}/{}: {e}", mode.name()))?;
     Ok(RunResult {
-        workload: static_name(name)?,
+        workload: name,
         mode,
         cfg: mode.into(),
         stats,
     })
 }
 
-fn parse_failure(f: &Json) -> Result<CellReport, String> {
-    let name = f
-        .get("workload")
-        .and_then(Json::as_str)
-        .ok_or("failure missing `workload`")?;
-    let mode = f
-        .get("mode")
-        .and_then(Json::as_str)
-        .and_then(FusionMode::parse)
-        .ok_or("failure missing a known `mode`")?;
+fn parse_failure(grid: &mut [GridCell], f: &Json) -> Result<CellReport, String> {
+    let (name, mode, _) = claim(grid, f, "failure")?;
     // Daemons predating the field made exactly one attempt.
     let attempts = f
         .get("attempts")
@@ -135,7 +134,7 @@ fn parse_failure(f: &Json) -> Result<CellReport, String> {
         other => return Err(format!("failure with unknown kind {other:?}")),
     };
     Ok(CellReport {
-        workload: static_name(name)?,
+        workload: name,
         mode,
         outcome,
     })
@@ -148,7 +147,8 @@ fn parse_failure(f: &Json) -> Result<CellReport, String> {
 ///
 /// Connection failures, protocol violations, and truncated streams (the
 /// daemon stopping mid-sweep) all surface as `Err`; a successful return
-/// means every requested cell is accounted for, as a result or a failure.
+/// means every requested cell is accounted for exactly once, as a result
+/// or a failure. A cell outside the requested grid is an `Err`.
 pub fn remote_sweep_with_summary(
     url: &str,
     workloads: &[Workload],
@@ -225,25 +225,26 @@ pub fn remote_sweep_with_summary(
         .ok_or("server stream ended without a done event (daemon stopped mid-sweep?)")?;
     progress.finish("remote sweep");
 
+    let mut grid: Vec<GridCell> = workloads
+        .iter()
+        .flat_map(|w| modes.iter().map(move |&m| (w.name, m, false)))
+        .collect();
     let results = done
         .get("cells")
         .and_then(Json::as_array)
         .ok_or("done event missing `cells`")?
         .iter()
-        .map(parse_cell)
+        .map(|c| parse_cell(&mut grid, c))
         .collect::<Result<Vec<_>, _>>()?;
     let failures = done
         .get("failures")
         .and_then(Json::as_array)
         .ok_or("done event missing `failures`")?
         .iter()
-        .map(parse_failure)
+        .map(|f| parse_failure(&mut grid, f))
         .collect::<Result<Vec<_>, _>>()?;
-    if results.len() + failures.len() != total {
-        return Err(format!(
-            "server accounted for {} of {total} cells",
-            results.len() + failures.len()
-        ));
+    if let Some((w, m, _)) = grid.iter().find(|c| !c.2) {
+        return Err(format!("server never answered cell {w}/{}", m.name()));
     }
     let summary = RemoteSummary {
         cache_hits: done.get("cache_hits").and_then(Json::as_u64).unwrap_or(0),

@@ -25,7 +25,7 @@ pub mod client;
 pub mod http;
 
 use std::io::{BufReader, BufWriter, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -33,7 +33,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use helios::{
-    workload, CellOutcome, FusionMode, Json, PipeConfig, ResultStore, Sched, SweepPolicy,
+    shared_workload, CellOutcome, FusionMode, Json, PipeConfig, ResultStore, Sched, SweepPolicy,
     TraceStore, Workload,
 };
 
@@ -42,7 +42,7 @@ pub const EVENT_SCHEMA: &str = "helios-sweepd-v1";
 /// Schema tag expected on `POST /v1/sweep` bodies.
 pub const REQUEST_SCHEMA: &str = "helios-sweep-req-v1";
 
-/// How often the accept loop polls the stop flag between connections.
+/// The SIGINT watcher's interval, and the back-off after an `accept` error.
 const ACCEPT_POLL: Duration = Duration::from_millis(25);
 /// Most connections served at once; each holds one handler thread. Past
 /// this the accept loop answers `503 Service Unavailable` itself.
@@ -106,9 +106,6 @@ impl Server {
     pub fn bind(config: &ServerConfig) -> Result<Server, String> {
         let listener = TcpListener::bind(&config.addr)
             .map_err(|e| format!("bind {}: {e}", config.addr))?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|e| format!("set_nonblocking: {e}"))?;
         let path = config.cache_dir.join("results.jsonl");
         let results = ResultStore::open(&path)
             .map_err(|e| format!("result store {}: {e}", path.display()))?;
@@ -148,45 +145,64 @@ impl Server {
 
     /// Asks the accept loop and workers to stop. Every queued job is
     /// cancelled as on a disconnect; in-flight cells finish, and then every
-    /// open sweep stream ends without a `done` event.
+    /// open sweep stream ends without a `done` event. The first call wakes
+    /// a blocked [`Server::run`] by connecting to the listener.
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::Relaxed);
+        if self.shared.stop.swap(true, Ordering::SeqCst) {
+            return;
+        }
         self.shared.sched.stop();
+        let mut wake = self.local_addr();
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if let Err(e) = TcpStream::connect_timeout(&wake, Duration::from_secs(1)) {
+            eprintln!("warning: sweepd: waking the accept loop at {wake}: {e}");
+        }
     }
 
     /// Serves connections until [`Server::stop`] is called or the process
-    /// is interrupted (`helios::sweep_interrupted`). Each connection gets
+    /// is interrupted: SIGINT does not wake `accept`, so a watcher thread
+    /// turns `helios::sweep_interrupted` into `stop()`. Each connection gets
     /// its own handler thread, up to [`MAX_CONNECTIONS`] at once; worker
     /// threads do the simulating.
     pub fn run(&self) {
-        loop {
-            if self.shared.stop.load(Ordering::Relaxed) || helios::sweep_interrupted() {
-                self.stop();
-                return;
-            }
-            match self.listener.accept() {
-                Ok((stream, _))
-                    if self.shared.connections.load(Ordering::Relaxed) >= MAX_CONNECTIONS =>
-                {
-                    refuse(stream);
-                }
-                Ok((stream, _)) => {
-                    self.shared.connections.fetch_add(1, Ordering::Relaxed);
-                    let slot = Slot(self.shared.clone());
-                    std::thread::Builder::new()
-                        .name("sweepd-conn".to_string())
-                        .spawn(move || handle_connection(&slot.0, stream))
-                        .expect("spawn connection handler");
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+        let stopped = || self.shared.stop.load(Ordering::SeqCst);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !stopped() {
+                    if helios::sweep_interrupted() {
+                        self.stop();
+                    }
                     std::thread::sleep(ACCEPT_POLL);
                 }
-                Err(e) => {
-                    eprintln!("warning: sweepd: accept: {e}");
-                    std::thread::sleep(ACCEPT_POLL);
+            });
+            while !stopped() {
+                match self.listener.accept() {
+                    Ok(_) if stopped() => {} // `stop()`'s wake-up, usually
+                    Ok((stream, _))
+                        if self.shared.connections.load(Ordering::Relaxed) >= MAX_CONNECTIONS =>
+                    {
+                        refuse(stream);
+                    }
+                    Ok((stream, _)) => {
+                        self.shared.connections.fetch_add(1, Ordering::Relaxed);
+                        let slot = Slot(self.shared.clone());
+                        std::thread::Builder::new()
+                            .name("sweepd-conn".to_string())
+                            .spawn(move || handle_connection(&slot.0, stream))
+                            .expect("spawn connection handler");
+                    }
+                    Err(e) => {
+                        eprintln!("warning: sweepd: accept: {e}");
+                        std::thread::sleep(ACCEPT_POLL);
+                    }
                 }
             }
-        }
+        });
     }
 }
 
@@ -220,8 +236,7 @@ fn parse_sweep_request(body: &[u8]) -> Result<SweepRequest, String> {
     let mut workloads = Vec::with_capacity(names.len());
     for n in names {
         let n = n.as_str().ok_or("non-string workload name")?;
-        let w = workload(n).ok_or_else(|| format!("unknown workload `{n}`"))?;
-        workloads.push(Arc::new(w));
+        workloads.push(shared_workload(n).ok_or_else(|| format!("unknown workload `{n}`"))?);
     }
     let modes = doc
         .get("modes")
@@ -267,7 +282,6 @@ fn status_json(shared: &Shared) -> Json {
 /// request bytes already received are read off first: closing a socket
 /// with unread input resets it, which can destroy the answer in flight.
 fn refuse(stream: TcpStream) {
-    let _ = stream.set_nonblocking(false);
     let mut writer = BufWriter::new(&stream);
     let msg = format!("sweepd is serving {MAX_CONNECTIONS} connections; retry shortly");
     if http::write_unavailable(&mut writer, &msg)
@@ -280,9 +294,6 @@ fn refuse(stream: TcpStream) {
 }
 
 fn handle_connection(shared: &Shared, stream: TcpStream) {
-    stream
-        .set_nonblocking(false)
-        .expect("connection sockets are blocking");
     // A peer that stops mid-request must not pin a handler thread forever.
     stream
         .set_read_timeout(Some(Duration::from_secs(30)))

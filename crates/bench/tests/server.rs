@@ -522,3 +522,156 @@ fn stop_mid_sweep_ends_the_client_stream() {
     client.join().expect("client thread");
     accept.join().expect("accept loop exits cleanly");
 }
+
+/// Starts `server.run()` on a thread, calls `stop()` before or after it,
+/// and requires `run` to return within 2 s.
+fn stop_returns_run(server: Server, stop_first: bool) {
+    let server = Arc::new(server);
+    if stop_first {
+        server.stop();
+    }
+    let (tx, rx) = mpsc::channel();
+    let runner = server.clone();
+    let accept = std::thread::spawn(move || {
+        runner.run();
+        let _ = tx.send(());
+    });
+    if !stop_first {
+        // Give `run` time to block in `accept`; it must return either way.
+        std::thread::sleep(Duration::from_millis(100));
+        server.stop();
+    }
+    rx.recv_timeout(Duration::from_secs(2))
+        .expect("run() returns within 2 s of stop()");
+    accept.join().expect("accept loop exits cleanly");
+}
+
+fn bind(tag: &str, addr: &str) -> Server {
+    Server::bind(&ServerConfig {
+        addr: addr.to_string(),
+        jobs: 1,
+        cache_dir: scratch(tag),
+        cell_timeout: None,
+    })
+    .expect("bind ephemeral port")
+}
+
+/// The accept loop blocks in `accept`; `stop()` must wake it whether or not
+/// a client ever connected, on a wildcard address too, and even when it
+/// comes before `run()`.
+#[test]
+fn stop_wakes_a_blocked_accept_loop() {
+    stop_returns_run(bind("wake-idle", "127.0.0.1:0"), false);
+    stop_returns_run(bind("wake-any", "0.0.0.0:0"), false);
+    stop_returns_run(bind("wake-early", "127.0.0.1:0"), true);
+}
+
+/// Plays a daemon for one request: reads it, then answers `done_line` as
+/// the whole event stream. Returns the URL to send the request to.
+fn canned_daemon(done_line: String) -> (String, std::thread::JoinHandle<()>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+    let url = format!("http://{}", listener.local_addr().unwrap());
+    let thread = std::thread::spawn(move || {
+        let (stream, _) = listener.accept().expect("accept");
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let (mut line, mut length) = (String::new(), 0);
+        loop {
+            line.clear();
+            reader.read_line(&mut line).unwrap();
+            if let Some(n) = line.strip_prefix("Content-Length: ") {
+                length = n.trim().parse().unwrap();
+            }
+            if line == "\r\n" {
+                break;
+            }
+        }
+        std::io::Read::read_exact(&mut reader, &mut vec![0; length]).unwrap();
+        let mut writer = stream;
+        write!(
+            writer,
+            "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n{done_line}\n"
+        )
+        .unwrap();
+    });
+    (url, thread)
+}
+
+/// A `done` event listing `cells` and `failures`, each a (workload, mode).
+fn done_event(cells: &[(&str, FusionMode)], failures: &[(&str, FusionMode)]) -> String {
+    let stats: Vec<_> = helios::SimStats::default()
+        .to_kv()
+        .into_iter()
+        .map(|(k, v)| (k, Json::Num(v as f64)))
+        .collect();
+    let entry = |w: &str, m: FusionMode| {
+        vec![
+            ("workload".to_string(), Json::Str(w.to_string())),
+            ("mode".to_string(), Json::Str(m.name().to_string())),
+        ]
+    };
+    let cells = cells
+        .iter()
+        .map(|&(w, m)| {
+            let mut e = entry(w, m);
+            e.push(("stats".to_string(), Json::Obj(stats.clone())));
+            Json::Obj(e)
+        })
+        .collect();
+    let failures = failures
+        .iter()
+        .map(|&(w, m)| {
+            let mut e = entry(w, m);
+            e.push(("kind".to_string(), Json::Str("failed".to_string())));
+            e.push(("error".to_string(), Json::Str("boom".to_string())));
+            Json::Obj(e)
+        })
+        .collect();
+    Json::Obj(vec![
+        (
+            "schema".to_string(),
+            Json::Str(helios_bench::server::EVENT_SCHEMA.to_string()),
+        ),
+        ("event".to_string(), Json::Str("done".to_string())),
+        ("cache_hits".to_string(), Json::Num(0.0)),
+        ("simulated".to_string(), Json::Num(0.0)),
+        ("failures".to_string(), Json::Arr(failures)),
+        ("cells".to_string(), Json::Arr(cells)),
+    ])
+    .to_string()
+}
+
+/// The thin client accepts a `done` event only if it answers each cell of
+/// the requested grid exactly once; the right count of cells is not enough.
+#[test]
+fn a_done_event_must_answer_the_requested_grid_exactly_once() {
+    use FusionMode::{Helios, NoFusion};
+    let fft = vec![helios::workload("fft").expect("registered")];
+    let crc32_row: Vec<_> = FusionMode::ALL.iter().map(|&m| ("crc32", m)).collect();
+    let cases: [(&[FusionMode], String, &str); 3] = [
+        // Six crc32 cells for an fft request.
+        (
+            &FusionMode::ALL,
+            done_event(&crc32_row, &[]),
+            "cell crc32/NoFusion outside the grid",
+        ),
+        // One cell twice, its neighbour never.
+        (
+            &[NoFusion, Helios],
+            done_event(&[("fft", NoFusion), ("fft", NoFusion)], &[]),
+            "cell fft/NoFusion twice",
+        ),
+        // A failure in a mode the request did not name.
+        (
+            &[NoFusion],
+            done_event(&[], &[("fft", Helios)]),
+            "failure fft/Helios outside the grid",
+        ),
+    ];
+    for (modes, done, want) in cases {
+        let (url, daemon) = canned_daemon(done);
+        let answer = remote_sweep_with_summary(&url, &fft, modes);
+        daemon.join().expect("canned daemon");
+        let err = answer.err().expect("a done event outside the grid is an error");
+        assert!(err.contains(want), "want `{want}` in `{err}`");
+    }
+}

@@ -23,7 +23,7 @@
 
 mod kernels;
 
-pub use kernels::{all_workloads, workload};
+pub use kernels::{all_workloads, shared_workload, workload};
 
 use helios_emu::{Cpu, EmuError, RetireStream, StoreError, Trace, TraceStore};
 use helios_isa::{Asm, Program, Reg};
@@ -38,6 +38,11 @@ pub enum Suite {
 }
 
 /// A runnable benchmark kernel with its self-validation reference.
+///
+/// Every kernel is built once per process, on first use, into a registry
+/// that lives until exit. [`all_workloads`] and [`workload`] return clones
+/// from it; [`shared_workload`] returns the registry's own `Arc`, copying
+/// no kernel data.
 #[derive(Clone, Debug)]
 pub struct Workload {
     /// Benchmark name as used in the paper's figures (e.g. `"657.xz_1"`).
@@ -173,6 +178,28 @@ mod tests {
         names.sort_unstable();
         names.dedup();
         assert_eq!(names.len(), all.len());
+
+        // Lookup by name returns the registry's entry, built once.
+        for w in &all {
+            let one = workload(w.name).expect("every registered name resolves");
+            assert_eq!(one.name, w.name);
+            assert_eq!(one.suite, w.suite);
+            assert_eq!(one.program.base, w.program.base);
+            assert_eq!(one.program.entry, w.program.entry);
+            assert_eq!(one.program.insts, w.program.insts);
+            assert_eq!(one.program.data, w.program.data);
+            assert_eq!(one.expected, w.expected);
+            assert_eq!(one.fuel, w.fuel);
+            let shared = shared_workload(w.name).expect("registered");
+            assert!(
+                std::sync::Arc::ptr_eq(&shared, &shared_workload(w.name).expect("registered")),
+                "{}: the registry is built once",
+                w.name
+            );
+            assert_eq!(shared.expected, w.expected);
+        }
+        assert!(workload("not-a-benchmark").is_none());
+        assert!(shared_workload("not-a-benchmark").is_none());
     }
 
     #[test]

@@ -278,6 +278,17 @@ grep -q "server cache: 48 hits, 0 simulated" "$scratch/server_warm.err" || {
     exit 1
 }
 kill -INT "$serve_pid"
+# SIGINT reaches the blocked accept loop through a watcher thread; the
+# daemon must be gone within 10 s.
+for _ in $(seq 1 100); do
+    kill -0 "$serve_pid" 2>/dev/null || break
+    sleep 0.1
+done
+if kill -0 "$serve_pid" 2>/dev/null; then
+    echo "ci: FAIL — sweepd still running 10 s after SIGINT" >&2
+    kill -KILL "$serve_pid" 2>/dev/null || true
+    exit 1
+fi
 set +e
 wait "$serve_pid"
 serve_rc=$?

@@ -63,4 +63,4 @@ pub mod exit {
     /// cell was attempted; finished cells are in the checkpoint journal.
     pub const INTERRUPTED: i32 = 130;
 }
-pub use helios_workloads::{all_workloads, workload, Workload};
+pub use helios_workloads::{all_workloads, shared_workload, workload, Workload};
