@@ -4,13 +4,15 @@
 //! fusion-region (cache access granularity) size (64 B).
 //!
 //! ```text
-//! cargo run --release -p helios-bench --bin ablation [--quick|--only a,b] [--jobs N] [--resume]
+//! cargo run --release -p helios-bench --bin ablation [--quick|--only a,b] [--jobs N]
 //! ```
 //!
 //! Every (workload, variant) cell runs through the standard sweep, so
-//! `--jobs`, `--resume` and the other sweep flags and knobs work as for
-//! every figure. `--server` does not apply: the `sweepd` wire names only
-//! fusion modes, and the variants are full configurations.
+//! `--jobs`, the shared result store and the other sweep flags and knobs
+//! work as for every figure; the paper-params row is fig10's Helios
+//! column, answered from the store when fig10 has run. `--server` does
+//! not apply: the `sweepd` wire names only fusion modes, and the variants
+//! are full configurations.
 
 use helios::{geomean, FusionMode, PipeConfig, Report, Table};
 
@@ -92,7 +94,7 @@ fn main() {
         opts.workloads.len()
     );
     let cfgs: Vec<PipeConfig> = vars.iter().map(|(_, cfg)| *cfg).collect();
-    let sweep = helios_bench::run_standard_sweep("ablation", &opts, &cfgs);
+    let sweep = helios_bench::run_standard_sweep(&opts, &cfgs);
     let results: Vec<(String, f64)> = vars
         .iter()
         .map(|(name, cfg)| {

@@ -13,7 +13,7 @@ fn main() {
         FusionMode::RiscvFusionPlusPlus,
         FusionMode::CsfSbr,
     ];
-    let sweep = helios_bench::run_standard_sweep("fig03", &opts, &modes);
+    let sweep = helios_bench::run_standard_sweep(&opts, &modes);
     let mut t = Table::new(vec![
         "benchmark".into(),
         "all idioms".into(),

@@ -6,7 +6,7 @@ use helios::{format_row, FusionMode, Report, Table};
 fn main() {
     let opts = helios_bench::parse_opts();
     let modes = [FusionMode::Helios, FusionMode::OracleFusion];
-    let sweep = helios_bench::run_standard_sweep("fig08", &opts, &modes);
+    let sweep = helios_bench::run_standard_sweep(&opts, &modes);
     let mut t = Table::new(vec![
         "benchmark".into(),
         "Helios CSF %".into(),

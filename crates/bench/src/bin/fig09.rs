@@ -10,7 +10,7 @@ fn main() {
         FusionMode::Helios,
         FusionMode::OracleFusion,
     ];
-    let sweep = helios_bench::run_standard_sweep("fig09", &opts, &modes);
+    let sweep = helios_bench::run_standard_sweep(&opts, &modes);
     let mut t = Table::new(vec![
         "benchmark".into(),
         "base %".into(),

@@ -10,7 +10,7 @@ use helios::{FusionMode, Report, Table};
 fn main() {
     let opts = helios_bench::parse_opts();
     let modes = [FusionMode::Helios, FusionMode::OracleFusion];
-    let sweep = helios_bench::run_standard_sweep("table3", &opts, &modes);
+    let sweep = helios_bench::run_standard_sweep(&opts, &modes);
     let mut t = Table::new(vec![
         "benchmark".into(),
         "coverage %".into(),

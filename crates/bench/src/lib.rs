@@ -4,7 +4,6 @@
 //! * `--quick` — run a representative 8-workload subset instead of all 32;
 //! * `--only <name>[,<name>...]` — run specific workloads;
 //! * `--jobs <N>` — sweep worker threads (default: all cores);
-//! * `--resume` — restore finished cells from the checkpoint journal;
 //! * `--cell-timeout <secs>` — wall-clock budget per sweep cell;
 //! * `--retries <N>` — attempts per cell before quarantining (default 2);
 //! * `--server <url>` — run the sweep on a `sweepd` daemon (see
@@ -13,6 +12,13 @@
 //!   `HELIOS_PROFILE=1`; writes `results/profile.json` and prints a summary
 //!   to stderr, leaving stdout untouched).
 //!
+//! Any other argument, unless the binary declares it through
+//! [`parse_opts_with`], is a usage error (exit 2).
+//!
+//! Every sweeping binary answers cells from, and appends cells to, one
+//! result store, `results/cells.jsonl`: a rerun, or a figure whose grid
+//! overlaps one already run, simulates only the cells it does not find.
+//!
 //! Environment knobs (testing/CI):
 //! * `HELIOS_SWEEP_CHAOS` — deterministic cell fault injection spec
 //!   (see `helios::CellChaos::parse`);
@@ -20,9 +26,7 @@
 //!   (a deterministic stand-in for `kill -9` in resume tests);
 //! * `HELIOS_TRACE_DIR` — content-addressed [`helios::TraceStore`]
 //!   directory: traces are recorded once ever, verified on every open, and
-//!   replayed block-at-a-time by sweep cells;
-//! * `HELIOS_BENCH_STABLE` — zero wall-clock-derived fields in
-//!   `BENCH_sweep.json` so CI can diff it across runs.
+//!   replayed block-at-a-time by sweep cells.
 
 pub mod census;
 pub mod server;
@@ -52,8 +56,6 @@ pub struct SweepOpts {
     pub workloads: Vec<Workload>,
     /// Sweep worker threads (`--jobs`, default: all cores).
     pub jobs: usize,
-    /// Restore finished cells from the checkpoint journal (`--resume`).
-    pub resume: bool,
     /// Wall-clock budget per sweep cell (`--cell-timeout <secs>`).
     pub cell_timeout: Option<Duration>,
     /// Attempts per cell before quarantining (`--retries <N>`).
@@ -77,9 +79,10 @@ pub enum ExtraFlag {
 
 /// Parses the common CLI arguments.
 ///
-/// Exits with an error (status 2) on malformed flags or unrecognized
-/// `--only` names — a typo'd name silently filtering the sweep to nothing
-/// would make every figure print NaN geomeans.
+/// Exits with [`helios::exit::USAGE`] on an unknown or malformed flag or
+/// an unrecognized `--only` name — a typo'd `--quick` would otherwise run
+/// the full suite, and a typo'd name silently filtering the sweep to
+/// nothing would make every figure print NaN geomeans.
 pub fn parse_opts() -> SweepOpts {
     parse_opts_with(&[])
 }
@@ -91,7 +94,6 @@ pub fn parse_opts_with(known: &[ExtraFlag]) -> SweepOpts {
     let mut only: Option<Vec<String>> = None;
     let mut quick = false;
     let mut jobs = helios::default_jobs();
-    let mut resume = false;
     let mut cell_timeout = None;
     let mut retries = None;
     let mut server = None;
@@ -100,7 +102,6 @@ pub fn parse_opts_with(known: &[ExtraFlag]) -> SweepOpts {
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => quick = true,
-            "--resume" => resume = true,
             // Must be set before any worker thread builds a pipeline; flag
             // parsing happens first thing in main, so it is.
             "--profile" => std::env::set_var("HELIOS_PROFILE", "1"),
@@ -138,7 +139,7 @@ pub fn parse_opts_with(known: &[ExtraFlag]) -> SweepOpts {
                 i += 1;
                 let Some(list) = args.get(i) else {
                     eprintln!("error: --only requires a comma-separated list of workload names");
-                    std::process::exit(2);
+                    std::process::exit(helios::exit::USAGE);
                 };
                 only = Some(list.split(',').map(str::to_string).collect());
             }
@@ -148,7 +149,7 @@ pub fn parse_opts_with(known: &[ExtraFlag]) -> SweepOpts {
                     Some(Ok(n)) if n >= 1 => n,
                     _ => {
                         eprintln!("error: --jobs requires a positive integer");
-                        std::process::exit(2);
+                        std::process::exit(helios::exit::USAGE);
                     }
                 };
             }
@@ -162,11 +163,14 @@ pub fn parse_opts_with(known: &[ExtraFlag]) -> SweepOpts {
                         i += 1;
                         let Some(v) = args.get(i) else {
                             eprintln!("error: {name} requires a value");
-                            std::process::exit(2);
+                            std::process::exit(helios::exit::USAGE);
                         };
                         extra[k] = Some(v.clone());
                     }
-                    None => eprintln!("warning: ignoring unknown argument `{other}`"),
+                    None => {
+                        eprintln!("error: unknown argument `{other}`");
+                        std::process::exit(helios::exit::USAGE);
+                    }
                 }
             }
         }
@@ -189,7 +193,7 @@ pub fn parse_opts_with(known: &[ExtraFlag]) -> SweepOpts {
                     .join(", ")
             );
             eprintln!("valid workloads: {}", valid.join(", "));
-            std::process::exit(2);
+            std::process::exit(helios::exit::USAGE);
         }
     }
     let workloads = match (only, quick) {
@@ -206,7 +210,6 @@ pub fn parse_opts_with(known: &[ExtraFlag]) -> SweepOpts {
     SweepOpts {
         workloads,
         jobs,
-        resume,
         cell_timeout,
         retries,
         server,
@@ -215,14 +218,15 @@ pub fn parse_opts_with(known: &[ExtraFlag]) -> SweepOpts {
 }
 
 /// Builds the resilient-executor options for a figure binary: the CLI
-/// policy knobs, a checkpoint journal at `results/<id>.ckpt.jsonl`, the
-/// SIGINT handler, and the CI/test environment knobs (`HELIOS_SWEEP_CHAOS`,
+/// policy knobs, the shared result store `results/cells.jsonl` (always
+/// resumed: cells already in it are answered, not simulated), the SIGINT
+/// handler, and the CI/test environment knobs (`HELIOS_SWEEP_CHAOS`,
 /// `HELIOS_SWEEP_STOP_AFTER`, `HELIOS_TRACE_DIR`).
 ///
 /// Exits with [`helios::exit::USAGE`] on a malformed environment spec —
 /// silently ignoring a typo'd chaos spec would make a CI resilience gate
 /// pass vacuously.
-pub fn sweep_options(id: &str, opts: &SweepOpts) -> SweepOptions {
+pub fn sweep_options(opts: &SweepOpts) -> SweepOptions {
     let chaos = std::env::var("HELIOS_SWEEP_CHAOS").ok().map(|spec| {
         CellChaos::parse(&spec).unwrap_or_else(|e| {
             eprintln!("error: HELIOS_SWEEP_CHAOS: {e}");
@@ -243,8 +247,8 @@ pub fn sweep_options(id: &str, opts: &SweepOpts) -> SweepOptions {
             ..SweepPolicy::default()
         },
         checkpoint: Some(helios::Checkpoint {
-            path: helios::results_dir().join(format!("{id}.ckpt.jsonl")),
-            resume: opts.resume,
+            path: helios::results_dir().join("cells.jsonl"),
+            resume: true,
         }),
         chaos,
         stop_after,
@@ -262,11 +266,11 @@ pub fn sweep_options(id: &str, opts: &SweepOpts) -> SweepOptions {
 /// wiring from [`sweep_options`]. On interruption (SIGINT or
 /// `HELIOS_SWEEP_STOP_AFTER`) the process exits with
 /// [`helios::exit::INTERRUPTED`] — finished cells are durable in the
-/// journal, so the user reruns with `--resume` rather than reading a
+/// store, so the user reruns the same command rather than reading a
 /// report with silently missing rows. A grid column is a fusion mode or a
 /// full [`PipeConfig`]; `--server` applies only when every column is a
 /// mode of the default core, because the wire names modes.
-pub fn run_standard_sweep<C>(id: &str, opts: &SweepOpts, grid: &[C]) -> Sweep
+pub fn run_standard_sweep<C>(opts: &SweepOpts, grid: &[C]) -> Sweep
 where
     C: Into<PipeConfig> + Copy,
 {
@@ -277,8 +281,8 @@ where
             // Thin-client mode: the daemon simulates (or answers from its
             // result cache); the rebuilt sweep feeds the unchanged report
             // path, so stdout and the JSON artifact stay byte-identical to
-            // a local run. Checkpoints/resume stay local-only — the
-            // daemon's cache subsumes them.
+            // a local run. The local result store is not consulted — the
+            // daemon's cache plays its part.
             let sweep = server::client::remote_sweep(url, &opts.workloads, &modes);
             return sweep.unwrap_or_else(|e| {
                 eprintln!("error: --server {url}: {e}");
@@ -288,7 +292,7 @@ where
         (Some(_), None) => eprintln!("note: --server ignored: the configs are not fusion modes"),
         (None, _) => {}
     }
-    let sweep_opts = sweep_options(id, opts);
+    let sweep_opts = sweep_options(opts);
     let sweep = helios::run_sweep_opts(&opts.workloads, grid, &sweep_opts).unwrap_or_else(|e| {
         eprintln!("error: sweep setup failed: {e}");
         std::process::exit(helios::exit::FAILED);
@@ -378,8 +382,8 @@ pub fn emit_profile_report() {
 
 /// Parses the common CLI arguments and returns the selected workloads,
 /// for the census binaries (fig02/04/05/table1): they analyse traces
-/// rather than sweep cells, so `--jobs`, `--resume` and `--server` have no
-/// effect on them.
+/// rather than sweep cells, so `--jobs` and `--server` have no effect on
+/// them.
 pub fn select_workloads() -> Vec<Workload> {
     let opts = parse_opts();
     if opts.server.is_some() {

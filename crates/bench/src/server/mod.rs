@@ -3,11 +3,12 @@
 //!
 //! One long-lived process owns the expensive shared state — a
 //! content-addressed [`TraceStore`] and a persistent [`ResultStore`] keyed
-//! by `(trace digest, config digest, ISA version)` — and serves sweep
-//! requests from the figure binaries over a hand-rolled HTTP/1.1 endpoint
-//! (`std::net` only, like everything else in this workspace):
+//! by `(trace digest, config digest)` under [`helios::MODEL_DIGEST`] — and
+//! serves sweep requests from the figure binaries over a hand-rolled
+//! HTTP/1.1 endpoint (`std::net` only, like everything else in this
+//! workspace):
 //!
-//! * `GET /v1/health` — liveness + cache occupancy, JSON;
+//! * `GET /v1/health` — liveness, model digest and cache occupancy, JSON;
 //! * `GET /v1/cache` — cache summary, JSON;
 //! * `POST /v1/sweep` — a `helios-sweep-req-v1` grid request; the response
 //!   streams `helios-sweepd-v1` JSONL: one `progress` event per finished
@@ -259,6 +260,10 @@ fn status_json(shared: &Shared) -> Json {
     Json::Obj(vec![
         ("schema".to_string(), Json::Str(EVENT_SCHEMA.to_string())),
         ("status".to_string(), Json::Str("ok".to_string())),
+        (
+            "model".to_string(),
+            Json::Str(format!("{:016x}", helios::MODEL_DIGEST)),
+        ),
         (
             "cached_cells".to_string(),
             Json::Num(shared.sched.results().map_or(0, ResultStore::len) as f64),

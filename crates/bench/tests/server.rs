@@ -211,6 +211,47 @@ fn a_local_checkpoint_serves_as_the_daemon_store() {
     }
 }
 
+/// A store written by another timing model answers nothing: a daemon over
+/// the same lines with a foreign model digest simulates every cell, and
+/// `/v1/health` reports the daemon's own digest.
+#[test]
+fn a_store_from_another_model_is_resimulated() {
+    let dir = scratch("model");
+    let store = dir.join("results.jsonl");
+    let (workloads, modes) = grid();
+    let local = run_sweep_opts(
+        &workloads,
+        &modes,
+        &SweepOptions {
+            jobs: 2,
+            checkpoint: Some(Checkpoint {
+                path: store.clone(),
+                resume: false,
+            }),
+            ..SweepOptions::default()
+        },
+    )
+    .expect("local sweep");
+    let ours = format!("{:016x}", helios::MODEL_DIGEST);
+    let foreign = format!("{:016x}", !helios::MODEL_DIGEST);
+    let text = std::fs::read_to_string(&store).unwrap();
+    assert_eq!(text.matches(&format!("\"model\":\"{ours}\"")).count(), 4);
+    std::fs::write(&store, text.replace(&ours, &foreign)).unwrap();
+
+    let daemon = Daemon::start(&dir);
+    let authority = daemon.url.strip_prefix("http://").unwrap();
+    assert_eq!(
+        health(authority).get("model").and_then(Json::as_str),
+        Some(ours.as_str())
+    );
+    let (remote, summary) =
+        remote_sweep_with_summary(&daemon.url, &workloads, &modes).expect("remote sweep");
+    assert_eq!((summary.cache_hits, summary.simulated), (0, 4));
+    for r in local.results() {
+        assert_eq!(remote.get(r.workload, r.mode), Some(&r.stats));
+    }
+}
+
 #[test]
 fn cache_survives_a_daemon_restart() {
     let dir = scratch("restart");

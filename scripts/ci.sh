@@ -16,51 +16,54 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> sweep smoke: fig10 --quick --jobs 2 (timed)"
 # Quick-run artifacts go to a scratch dir so CI never clobbers the committed
-# full-suite artifacts under results/.
+# full-suite artifacts under results/. Every figure answers cells from the
+# result store in its results dir (cells.jsonl), so each gate below that
+# needs cells simulated runs in a fresh dir of its own (`fresh`); the
+# figure smoke alone reuses the store this sweep fills.
 scratch="results/ci-quick"
 rm -rf "$scratch"
 mkdir -p "$scratch"
 export HELIOS_RESULTS_DIR="$scratch"
+fresh() {
+    rm -rf "${scratch:?}/$1"
+    mkdir -p "$scratch/$1"
+    echo "$scratch/$1"
+}
+# The "R/T" of a sweep's "resume: restored R/T cells" stderr line, or
+# nothing when no cell came from the store.
+restored() {
+    sed -n 's/^resume: restored \([0-9]*\/[0-9]*\) cells.*/\1/p' "$1"
+}
 sweep_start=$(date +%s)
 cargo run --release -q -p helios-bench --bin fig10 -- --quick --jobs 2 > /dev/null
 sweep_end=$(date +%s)
 echo "sweep smoke: $((sweep_end - sweep_start))s wall"
-# Archive the throughput record so simulator-performance regressions show up
-# in the trajectory (results/BENCH_sweep_quick.json is the smoke run;
-# results/BENCH_sweep.json is the committed full-sweep record and the
-# benchmark of record).
-#
-# Perf smoke: warn — never fail — when simulated Mcycles/s drops >20% below
-# the committed quick record. Wall-clock on a shared CI host is noisy, so a
-# red build on a throughput number would train people to ignore red builds;
-# the warning plus the archived trajectory is the actionable signal.
-if baseline=$(git show HEAD:results/BENCH_sweep_quick.json 2>/dev/null); then
-    python3 - "$baseline" <<'PY' || true
-import json, sys
-base = json.loads(sys.argv[1])["simulated_mcycles_per_sec"]
-now = json.load(open("BENCH_sweep.json"))["simulated_mcycles_per_sec"]
-if now < 0.8 * base:
-    print(f"ci: WARNING — quick-sweep throughput {now:.3f} Mcycles/s is "
-          f">20% below committed baseline {base:.3f} (non-blocking)")
-else:
-    print(f"perf smoke: {now:.3f} Mcycles/s vs committed {base:.3f} — ok")
-PY
-else
-    echo "perf smoke: no committed results/BENCH_sweep_quick.json baseline; skipping comparison"
-fi
-mkdir -p results
-mv BENCH_sweep.json results/BENCH_sweep_quick.json
-cat results/BENCH_sweep_quick.json
 
 echo "==> fuzz smoke: fixed-seed differential campaign + corpus replay"
 cargo run --release -q -p helios-bench --bin fuzz -- --seed 1 --iters 500 --quiet
 cargo run --release -q -p helios-bench --bin fuzz -- --replay tests/corpus
 
 echo "==> figure smoke: every report binary on the --quick subset"
+# Run after fig10 --quick over the same store, fig03/fig08/fig09/table3
+# must answer every cell from it (their grids are subsets of fig10's), and
+# ablation's paper-params row must hit fig10's 8 Helios cells.
 for bin in fig02 fig03 fig04 fig05 fig08 fig09 table1 table2 table3 ablation; do
     echo "  -> $bin"
-    cargo run --release -q -p helios-bench --bin "$bin" -- --quick --jobs 2 > /dev/null
+    cargo run --release -q -p helios-bench --bin "$bin" -- --quick --jobs 2 \
+        > /dev/null 2> "$scratch/$bin.err" || {
+        cat "$scratch/$bin.err" >&2
+        exit 1
+    }
 done
+for want in fig03:24/24 fig08:16/16 fig09:24/24 table3:16/16 ablation:8/136; do
+    bin=${want%%:*}
+    got=$(restored "$scratch/$bin.err")
+    if [ "$got" != "${want#*:}" ]; then
+        echo "ci: FAIL — $bin after fig10 restored '${got}' cells from the store, want ${want#*:}" >&2
+        exit 1
+    fi
+done
+echo "figure smoke: fig03/fig08/fig09/table3 simulated nothing after fig10; ablation restored 8/136"
 
 echo "==> validating per-figure JSON artifacts"
 for id in fig02 fig03 fig04 fig05 fig08 fig09 fig10 table1 table2 table3 ablation fuzz; do
@@ -81,78 +84,96 @@ echo "==> resilience smoke: injected chaos must yield a partial, annotated repor
 # sweep must finish every other cell, name both casualties in the JSON
 # artifact, and exit with the PARTIAL code (3).
 fig10=(cargo run --release -q -p helios-bench --bin fig10 -- --quick --jobs 2)
+chaos_dir=$(fresh chaos)
 set +e
 HELIOS_SWEEP_CHAOS="bitcount/Helios=panic,fft/NoFusion=timeout" \
-HELIOS_BENCH_STABLE=1 "${fig10[@]}" > /dev/null 2> /dev/null
+HELIOS_RESULTS_DIR="$chaos_dir" "${fig10[@]}" > /dev/null 2> /dev/null
 chaos_rc=$?
 set -e
 if [ "$chaos_rc" -ne 3 ]; then
     echo "ci: FAIL — chaos sweep exited $chaos_rc, expected 3 (partial)" >&2
     exit 1
 fi
-grep -q '"bitcount/Helios": "failed' "$scratch/fig10.json" || {
+grep -q '"bitcount/Helios": "failed' "$chaos_dir/fig10.json" || {
     echo "ci: FAIL — chaos report missing quarantined panic cell" >&2
     exit 1
 }
-grep -q '"fft/NoFusion": "timed out' "$scratch/fig10.json" || {
+grep -q '"fft/NoFusion": "timed out' "$chaos_dir/fig10.json" || {
     echo "ci: FAIL — chaos report missing timed-out cell" >&2
     exit 1
 }
 echo "chaos sweep: partial exit + both casualties annotated"
 
 echo "==> resilience smoke: interrupted sweep resumes byte-identically"
-# Reference uninterrupted run, then a run stopped after 17 cells (the
-# deterministic stand-in for kill -9), then a --resume run; stdout and
-# BENCH_sweep.json must match the reference byte for byte.
-export HELIOS_BENCH_STABLE=1
-rm -f "$scratch/fig10.ckpt.jsonl"
-"${fig10[@]}" > "$scratch/ref.out" 2> /dev/null
-cp BENCH_sweep.json "$scratch/ref_bench.json"
-rm -f "$scratch/fig10.ckpt.jsonl"
+# Reference uninterrupted run in one fresh dir; in another, a run stopped
+# after 17 simulated cells (the deterministic stand-in for kill -9), then a
+# plain rerun, which must restore every cell the interrupted run stored
+# (17, plus any cell the second worker had in flight) and match the
+# reference's stdout and fig10.json byte for byte.
+ref_dir=$(fresh resume-ref)
+HELIOS_RESULTS_DIR="$ref_dir" "${fig10[@]}" > "$scratch/ref.out" 2> /dev/null
+resume_dir=$(fresh resume)
 set +e
-HELIOS_SWEEP_STOP_AFTER=17 "${fig10[@]}" > /dev/null 2> /dev/null
+HELIOS_RESULTS_DIR="$resume_dir" HELIOS_SWEEP_STOP_AFTER=17 "${fig10[@]}" > /dev/null 2> /dev/null
 int_rc=$?
 set -e
 if [ "$int_rc" -ne 130 ]; then
     echo "ci: FAIL — interrupted sweep exited $int_rc, expected 130" >&2
     exit 1
 fi
-"${fig10[@]}" --resume > "$scratch/resumed.out" 2> /dev/null
+stored=$(wc -l < "$resume_dir/cells.jsonl" | tr -d " ")
+if [ "$stored" -lt 17 ] || [ "$stored" -ge 48 ]; then
+    echo "ci: FAIL — interrupted sweep stored $stored cells, want 17..47" >&2
+    exit 1
+fi
+HELIOS_RESULTS_DIR="$resume_dir" "${fig10[@]}" > "$scratch/resumed.out" 2> "$scratch/resumed.err"
+if [ "$(restored "$scratch/resumed.err")" != "$stored/48" ]; then
+    echo "ci: FAIL — rerun restored '$(restored "$scratch/resumed.err")' cells, want $stored/48" >&2
+    exit 1
+fi
 cmp "$scratch/ref.out" "$scratch/resumed.out" || {
     echo "ci: FAIL — resumed sweep stdout differs from uninterrupted run" >&2
     exit 1
 }
-cmp "$scratch/ref_bench.json" BENCH_sweep.json || {
-    echo "ci: FAIL — resumed BENCH_sweep.json differs from uninterrupted run" >&2
+cmp "$ref_dir/fig10.json" "$resume_dir/fig10.json" || {
+    echo "ci: FAIL — resumed fig10.json differs from uninterrupted run" >&2
     exit 1
 }
-unset HELIOS_BENCH_STABLE
-# The stabilized (zeroed wall-clock) record is only for the diff above; the
-# timed record archived earlier remains the throughput trajectory.
-rm -f BENCH_sweep.json
-echo "resume smoke: interrupted at 17/48, resumed byte-identically"
+echo "resume smoke: interrupted at 17/48 ($stored stored), rerun restored $stored/48 byte-identically"
 
 echo "==> resilience smoke: interrupted ablation resumes byte-identically"
 # ablation's 17 config variants run through the same executor as every
 # figure: an uninterrupted run, a run stopped after 40 simulated cells
-# (must exit 130), then a --resume run whose stdout must match the first.
+# (must exit 130), then a rerun that must restore every stored cell and
+# whose stdout must match the first. Each starts from a fresh dir.
 ablation=(cargo run --release -q -p helios-bench --bin ablation -- --quick --jobs 2)
-rm -f "$scratch/ablation.ckpt.jsonl"
-"${ablation[@]}" > "$scratch/ablation_ref.out" 2> /dev/null
+abl_ref_dir=$(fresh ablation-ref)
+HELIOS_RESULTS_DIR="$abl_ref_dir" "${ablation[@]}" > "$scratch/ablation_ref.out" 2> /dev/null
+abl_dir=$(fresh ablation-resume)
 set +e
-HELIOS_SWEEP_STOP_AFTER=40 "${ablation[@]}" > /dev/null 2> /dev/null
+HELIOS_RESULTS_DIR="$abl_dir" HELIOS_SWEEP_STOP_AFTER=40 "${ablation[@]}" > /dev/null 2> /dev/null
 abl_rc=$?
 set -e
 if [ "$abl_rc" -ne 130 ]; then
     echo "ci: FAIL — interrupted ablation exited $abl_rc, expected 130" >&2
     exit 1
 fi
-"${ablation[@]}" --resume > "$scratch/ablation_resumed.out" 2> /dev/null
+abl_stored=$(wc -l < "$abl_dir/cells.jsonl" | tr -d " ")
+if [ "$abl_stored" -lt 40 ] || [ "$abl_stored" -ge 136 ]; then
+    echo "ci: FAIL — interrupted ablation stored $abl_stored cells, want 40..135" >&2
+    exit 1
+fi
+HELIOS_RESULTS_DIR="$abl_dir" "${ablation[@]}" \
+    > "$scratch/ablation_resumed.out" 2> "$scratch/ablation_resumed.err"
+if [ "$(restored "$scratch/ablation_resumed.err")" != "$abl_stored/136" ]; then
+    echo "ci: FAIL — ablation rerun restored '$(restored "$scratch/ablation_resumed.err")' cells, want $abl_stored/136" >&2
+    exit 1
+fi
 cmp "$scratch/ablation_ref.out" "$scratch/ablation_resumed.out" || {
     echo "ci: FAIL — resumed ablation stdout differs from uninterrupted run" >&2
     exit 1
 }
-echo "ablation resume smoke: interrupted at 40/136, resumed byte-identically"
+echo "ablation resume smoke: interrupted at 40/136 ($abl_stored stored), rerun restored $abl_stored/136 byte-identically"
 
 echo "==> resilience smoke: sweep-executor chaos soak"
 cargo run --release -q -p helios-bench --bin soak -- --sweep-chaos --quick --jobs 2
@@ -161,15 +182,15 @@ echo "==> trace store smoke: cold vs warm vs live fig10 --quick"
 # A sweep through a cold store must record every workload; the same sweep
 # against the warm store must record nothing (pure hits, traces streamed
 # from disk) and produce byte-identical stdout; and both must match the
-# store-less (live in-memory) reference captured above.
+# store-less (live in-memory) reference captured above. Each run has a
+# fresh results dir, so its cells are simulated and read their traces.
 tstore="$scratch/traces"
 rm -rf "$tstore"
-export HELIOS_BENCH_STABLE=1
-HELIOS_TRACE_DIR="$tstore" "${fig10[@]}" > "$scratch/cold.out" 2> "$scratch/cold.err"
-HELIOS_TRACE_DIR="$tstore" "${fig10[@]}" > "$scratch/warm.out" 2> "$scratch/warm.err"
-unset HELIOS_BENCH_STABLE
-rm -f BENCH_sweep.json
-grep -q "trace store: 0 recorded" "$scratch/warm.err" || {
+HELIOS_RESULTS_DIR="$(fresh trace-cold)" HELIOS_TRACE_DIR="$tstore" "${fig10[@]}" \
+    > "$scratch/cold.out" 2> "$scratch/cold.err"
+HELIOS_RESULTS_DIR="$(fresh trace-warm)" HELIOS_TRACE_DIR="$tstore" "${fig10[@]}" \
+    > "$scratch/warm.out" 2> "$scratch/warm.err"
+grep -q "trace store: 0 recorded, 8 hits" "$scratch/warm.err" || {
     echo "ci: FAIL — warm trace store still recorded (want pure hits):" >&2
     grep "trace store:" "$scratch/warm.err" >&2 || true
     exit 1
@@ -232,7 +253,7 @@ echo "==> server smoke: sweepd + fig10 --quick --server"
 # Start the daemon on an ephemeral port, run fig10 through it twice (cold
 # cache simulates all 48 cells, warm cache must re-simulate zero), check
 # stdout and the fig10.json artifact stay byte-identical to the local
-# stable reference, then shut the daemon down with SIGINT (must exit 0).
+# reference run, then shut the daemon down with SIGINT (must exit 0).
 cargo build --release -q -p helios-bench --bin serve
 serve_log="$scratch/serve.log"
 rm -rf "$scratch/sweepd"
@@ -249,12 +270,11 @@ done
     echo "ci: FAIL — sweepd never announced its listening address" >&2
     exit 1
 }
-cp "$scratch/fig10.json" "$scratch/ref_fig10.json"
-export HELIOS_BENCH_STABLE=1
-"${fig10[@]}" --server "$url" > "$scratch/server_cold.out" 2> "$scratch/server_cold.err"
-"${fig10[@]}" --server "$url" > "$scratch/server_warm.out" 2> "$scratch/server_warm.err"
-unset HELIOS_BENCH_STABLE
-rm -f BENCH_sweep.json
+server_dir=$(fresh server)
+HELIOS_RESULTS_DIR="$server_dir" "${fig10[@]}" --server "$url" \
+    > "$scratch/server_cold.out" 2> "$scratch/server_cold.err"
+HELIOS_RESULTS_DIR="$server_dir" "${fig10[@]}" --server "$url" \
+    > "$scratch/server_warm.out" 2> "$scratch/server_warm.err"
 cmp "$scratch/ref.out" "$scratch/server_cold.out" || {
     echo "ci: FAIL — fig10 --server stdout differs from the local run" >&2
     exit 1
@@ -263,7 +283,7 @@ cmp "$scratch/ref.out" "$scratch/server_warm.out" || {
     echo "ci: FAIL — warm-cache fig10 --server stdout differs from the local run" >&2
     exit 1
 }
-cmp "$scratch/ref_fig10.json" "$scratch/fig10.json" || {
+cmp "$ref_dir/fig10.json" "$server_dir/fig10.json" || {
     echo "ci: FAIL — fig10 --server JSON artifact differs from the local run" >&2
     exit 1
 }
@@ -303,14 +323,13 @@ grep -q "shut down cleanly" "$serve_log" || {
 }
 echo "server smoke: cold 48 simulated, warm 48 cached, stdout+artifact byte-identical, clean shutdown"
 
-echo "==> server smoke: a local checkpoint is a sweepd result store"
+echo "==> server smoke: a local result store is a sweepd result store"
 # Local sweeps and sweepd share one result-store format: a daemon whose
-# store is a copy of the last local fig10 --quick checkpoint must answer
-# all 48 cells from it and print the local run's stdout byte for byte.
-ckpt_dir="$scratch/sweepd-ckpt"
-rm -rf "$ckpt_dir"
-mkdir -p "$ckpt_dir"
-cp "$scratch/fig10.ckpt.jsonl" "$ckpt_dir/results.jsonl"
+# store is a copy of the reference fig10 --quick run's cells.jsonl must
+# answer all 48 cells from it and print the local run's stdout byte for
+# byte.
+ckpt_dir=$(fresh sweepd-ckpt)
+cp "$ref_dir/cells.jsonl" "$ckpt_dir/results.jsonl"
 target/release/serve --addr 127.0.0.1:0 --cache-dir "$ckpt_dir" --jobs 2 2> "$serve_log" &
 serve_pid=$!
 url=""
@@ -320,18 +339,18 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 set +e
-HELIOS_BENCH_STABLE=1 "${fig10[@]}" --server "$url" > "$scratch/server_ckpt.out" 2> "$scratch/server_ckpt.err"
+HELIOS_RESULTS_DIR="$(fresh server-ckpt)" "${fig10[@]}" --server "$url" \
+    > "$scratch/server_ckpt.out" 2> "$scratch/server_ckpt.err"
 ckpt_rc=$?
 kill -INT "$serve_pid"
 wait "$serve_pid"
 set -e
-rm -f BENCH_sweep.json
 if [ -z "$url" ] || [ "$ckpt_rc" -ne 0 ]; then
     echo "ci: FAIL — fig10 --server over a checkpoint-seeded sweepd failed (exit $ckpt_rc)" >&2
     exit 1
 fi
 grep -q "server cache: 48 hits, 0 simulated" "$scratch/server_ckpt.err" || {
-    echo "ci: FAIL — sweepd did not answer every cell from the local checkpoint:" >&2
+    echo "ci: FAIL — sweepd did not answer every cell from the local result store:" >&2
     grep "server cache:" "$scratch/server_ckpt.err" >&2 || true
     exit 1
 }
@@ -339,7 +358,7 @@ cmp "$scratch/ref.out" "$scratch/server_ckpt.out" || {
     echo "ci: FAIL — checkpoint-seeded fig10 --server stdout differs from the local run" >&2
     exit 1
 }
-echo "server smoke: local checkpoint served 48 cached cells, stdout byte-identical"
+echo "server smoke: local result store served 48 cached cells, stdout byte-identical"
 
 echo "==> server smoke: two concurrent clients share one simulation per cell"
 # Two fig10 --quick clients race the same 48 cells through a freshly
@@ -362,7 +381,7 @@ race_pids=()
 set +e
 for c in a b; do
     mkdir -p "$scratch/race-$c"
-    HELIOS_RESULTS_DIR="$scratch/race-$c" HELIOS_BENCH_STABLE=1 \
+    HELIOS_RESULTS_DIR="$scratch/race-$c" \
         target/release/fig10 --quick --jobs 2 --server "$url" \
         > "$scratch/server_race_$c.out" 2> "$scratch/server_race_$c.err" &
     race_pids+=($!)
@@ -374,7 +393,6 @@ race_rc_b=$?
 kill -INT "$serve_pid"
 wait "$serve_pid"
 set -e
-rm -f BENCH_sweep.json
 if [ -z "$url" ] || [ "$race_rc_a" -ne 0 ] || [ "$race_rc_b" -ne 0 ]; then
     echo "ci: FAIL — concurrent fig10 --server clients failed (exits $race_rc_a, $race_rc_b)" >&2
     exit 1

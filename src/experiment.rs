@@ -29,9 +29,10 @@
 //! * **Crash-safe checkpointing** — with a [`Checkpoint`] attached, every
 //!   finished cell is appended to a [`ResultStore`] and fsynced before the
 //!   sweep moves on, keyed by `(trace digest, PipeConfig::digest)`. A killed
-//!   sweep resumed with [`Checkpoint::resume`] answers finished cells from
+//!   sweep rerun with [`Checkpoint::resume`] answers finished cells from
 //!   the store and only simulates the rest; the merged result is
-//!   byte-identical to an uninterrupted run.
+//!   byte-identical to an uninterrupted run. The figure binaries always
+//!   resume, from one store shared by every figure.
 
 use crate::sched::Sched;
 use crate::store::ResultStore;
@@ -328,8 +329,8 @@ impl Default for SweepPolicy {
 /// finished cells are appended to.
 #[derive(Clone, Debug)]
 pub struct Checkpoint {
-    /// Store file (conventionally `results/<id>.ckpt.jsonl`; a `sweepd`
-    /// cache directory's `results.jsonl` is the same format).
+    /// Store file (the figure binaries share `results/cells.jsonl`; a
+    /// `sweepd` cache directory's `results.jsonl` is the same format).
     pub path: PathBuf,
     /// `true`: answer cells already in the store from it and append to it.
     /// `false`: start fresh, truncating any prior store.
@@ -662,7 +663,7 @@ pub fn run_sweep_opts<C: Into<PipeConfig> + Copy>(
     let interrupted = outcomes.iter().any(Option::is_none);
     if interrupted {
         eprintln!(
-            "\rsweep interrupted: {}/{} cells finished (journal is durable; rerun with --resume)",
+            "\rsweep interrupted: {}/{} cells finished (they are stored; rerun to finish the rest)",
             reporter.done(),
             total
         );

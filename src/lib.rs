@@ -37,6 +37,12 @@ pub use report::{format_row, results_dir, Report, Table};
 pub use sched::{CellEvent, Sched, Ticket};
 pub use store::ResultStore;
 
+/// Digest of the timing model's sources: `helios-uarch` and the workspace
+/// crates it depends on, hashed by `build.rs` in sorted path order. Every
+/// [`ResultStore`] line carries it, and a line from another model is
+/// skipped, so an edit to the model never answers from stale results.
+pub const MODEL_DIGEST: u64 = include!(concat!(env!("OUT_DIR"), "/model_digest.rs"));
+
 pub use helios_core::{FusionMode, HeliosParams};
 pub use helios_emu::{
     BlockReplay, RecordedTrace, Replay, StoreError, StoreStats, Trace, TraceIoError, TraceStamp,

@@ -1,8 +1,9 @@
 //! The result store: every successfully simulated sweep cell, one line
-//! each, shared by the local sweep's checkpoint (`--resume`) and the
+//! each, shared by every figure's sweep (`results/cells.jsonl`) and the
 //! `sweepd` daemon's result cache.
 //!
-//! A cell's identity is `(trace digest, config digest, ISA version)`:
+//! A cell's identity is `(trace digest, config digest)` under one timing
+//! model:
 //!
 //! - the **trace digest** is [`TraceStore::digest`](crate::TraceStore::digest)
 //!   over the workload's program — recording is strict, so the program *is*
@@ -10,15 +11,16 @@
 //! - the **config digest** is [`PipeConfig::digest`](crate::PipeConfig),
 //!   which exhaustively covers every field (including the fusion mode), so
 //!   any config change keys a different cell;
-//! - the **ISA version** guards against semantics changes that keep the
-//!   program bytes identical.
+//! - the **model digest** ([`MODEL_DIGEST`]) hashes the sources of the
+//!   timing model, `ISA_VERSION` included, so a line written by any other
+//!   build of the model is never answered from.
 //!
 //! Storage is an append-only JSONL file (`helios-cache-v1`), one
 //! self-describing object per line, fsynced per append so a crash loses at
 //! most the line being written. Loading never rejects the whole file: lines
 //! that are not UTF-8, fail to parse, carry a foreign schema (including the
 //! retired workload-keyed checkpoint journal's lines), or were written
-//! under a different ISA version are counted as skipped — the cost of a
+//! under a different model digest are counted as skipped — the cost of a
 //! dropped line is one re-simulation, never a wrong result.
 //!
 //! Only successful cells are stored. Failures and timeouts are
@@ -31,10 +33,9 @@ use std::io::{self, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use helios_isa::ISA_VERSION;
 use helios_uarch::SimStats;
 
-use crate::Json;
+use crate::{Json, MODEL_DIGEST};
 
 /// Schema tag on every store line.
 const SCHEMA: &str = "helios-cache-v1";
@@ -171,7 +172,7 @@ impl ResultStore {
             .map(|(k, v)| (k, Json::Num(v as f64)));
         let mut line = Json::Obj(vec![
             ("schema".to_string(), Json::Str(SCHEMA.to_string())),
-            ("isa".to_string(), Json::Num(f64::from(ISA_VERSION))),
+            ("model".to_string(), Json::Str(hex16(MODEL_DIGEST))),
             ("trace".to_string(), Json::Str(hex16(key.trace))),
             ("cfg".to_string(), Json::Str(hex16(key.cfg))),
             ("workload".to_string(), Json::Str(workload.to_string())),
@@ -193,7 +194,7 @@ fn parse_line(line: &str) -> Option<(CellKey, SimStats)> {
     if doc.get("schema")?.as_str()? != SCHEMA {
         return None;
     }
-    if doc.get("isa")?.as_u64()? != u64::from(ISA_VERSION) {
+    if parse_hex16(doc.get("model")?.as_str()?)? != MODEL_DIGEST {
         return None;
     }
     let key = CellKey {
@@ -274,8 +275,9 @@ mod tests {
             .put(key, "w", "NoFusion", &stats(10))
             .unwrap();
         let first = std::fs::read_to_string(&path).unwrap();
-        // A later duplicate, a corrupt line, a foreign schema, a stale ISA
-        // and a non-UTF-8 line.
+        assert!(first.contains(&format!("\"model\":\"{}\"", hex16(MODEL_DIGEST))));
+        // A later duplicate, a corrupt line, a foreign schema, another
+        // model's line and a non-UTF-8 line.
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         write!(f, "{}", first.replace("\"cycles\":10", "\"cycles\":20")).unwrap();
         writeln!(f, "{{ not json").unwrap();
@@ -285,7 +287,8 @@ mod tests {
             "{}",
             first
                 .trim()
-                .replace(&format!("\"isa\":{ISA_VERSION}"), "\"isa\":999")
+                .replace("\"cycles\":10", "\"cycles\":30")
+                .replace(&hex16(MODEL_DIGEST), &hex16(!MODEL_DIGEST))
         )
         .unwrap();
         f.write_all(b"\xff\xfe\n").unwrap();

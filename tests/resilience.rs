@@ -123,7 +123,7 @@ fn interrupted_sweep_resumes_to_identical_results() {
     let _g = gate();
     let (ws, modes) = small_grid();
     let dir = scratch("resume");
-    let ckpt = dir.join("sweep.ckpt.jsonl");
+    let ckpt = dir.join("cells.jsonl");
 
     let reference = run_sweep_opts(&ws, &modes, &SweepOptions::default()).unwrap();
     assert!(reference.is_complete());
@@ -176,7 +176,7 @@ fn corrupted_journal_line_is_recovered() {
     let _g = gate();
     let (ws, modes) = small_grid();
     let dir = scratch("corrupt");
-    let ckpt = dir.join("sweep.ckpt.jsonl");
+    let ckpt = dir.join("cells.jsonl");
 
     let reference = run_sweep_opts(
         &ws,

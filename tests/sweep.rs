@@ -1,8 +1,11 @@
 //! Sweep-engine integration tests: recorded-replay equivalence (in-memory
 //! and streamed from a trace store), parallel determinism, config-keyed
-//! cells, per-sweep `stop_after`, and loud failure on starved recordings.
+//! cells, one result store shared across figure grids, per-sweep
+//! `stop_after`, and loud failure on starved recordings.
 
-use helios::{run_sweep_opts, FusionMode, PipeConfig, SimRequest, SweepOptions, TraceStore};
+use helios::{
+    run_sweep_opts, Checkpoint, FusionMode, PipeConfig, SimRequest, SweepOptions, TraceStore,
+};
 use helios_emu::EmuError;
 use std::sync::Barrier;
 
@@ -152,6 +155,58 @@ fn cells_are_keyed_by_config_not_mode() {
             a.mode.name()
         );
     }
+}
+
+/// Figures are views over one store: fig03's three modes are a subset of
+/// fig10's six, so once fig10's grid is stored, fig03's sweep answers
+/// every cell from the store and simulates none.
+#[test]
+fn a_figure_over_a_stored_grid_simulates_nothing() {
+    let dir = std::env::temp_dir().join(format!("helios-cells-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let path = dir.join("cells.jsonl");
+    let ws: Vec<_> = ["crc32", "bitcount"]
+        .iter()
+        .map(|n| helios::workload(n).unwrap())
+        .collect();
+    let sweep = |modes: &[FusionMode]| {
+        let opts = SweepOptions {
+            jobs: 2,
+            checkpoint: Some(Checkpoint {
+                path: path.clone(),
+                resume: true,
+            }),
+            ..Default::default()
+        };
+        run_sweep_opts(&ws, modes, &opts).unwrap()
+    };
+    let fig10 = sweep(&FusionMode::ALL);
+    assert!(fig10.is_complete());
+    assert_eq!(fig10.restored(), 0, "the store starts empty");
+    let stored = std::fs::read_to_string(&path).unwrap();
+    assert_eq!(stored.lines().count(), ws.len() * FusionMode::ALL.len());
+
+    let fig03 = [
+        FusionMode::NoFusion,
+        FusionMode::RiscvFusionPlusPlus,
+        FusionMode::CsfSbr,
+    ];
+    let view = sweep(&fig03);
+    assert!(view.is_complete());
+    assert_eq!(
+        view.restored(),
+        fig03.len() * ws.len(),
+        "every cell restored"
+    );
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        stored,
+        "nothing simulated"
+    );
+    for r in view.results() {
+        assert_eq!(fig10.get(r.workload, r.mode), Some(&r.stats));
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `stop_after` cancels its own sweep only: a full sweep running beside it
