@@ -6,86 +6,27 @@
 //! cargo run --release -p helios-bench --bin inspect -- --only 605.mcf --obs
 //! ```
 //!
-//! With `--obs`, each configuration additionally runs with the event
-//! observer attached and dumps the full self-describing stats registry
-//! (every counter with its unit and description, plus the observer's
-//! fetch-to-commit latency and occupancy histograms).
+//! Each configuration prints its stats registry: every raw counter and
+//! derived metric with its unit. With `--obs`, each configuration runs with
+//! the event observer attached and the registry adds the observer's event
+//! counters and its fetch-to-commit latency and occupancy histograms.
 
 use helios::{FusionMode, ObsOpts, SimRequest};
 use helios_bench::ExtraFlag;
 
 fn main() {
     let opts = helios_bench::parse_opts_with(&[ExtraFlag::Bool("--obs")]);
-    let dump_registry = opts.extra[0].is_some();
+    let obs = if opts.extra[0].is_some() {
+        ObsOpts::metrics()
+    } else {
+        ObsOpts::off()
+    };
     for w in &opts.workloads {
         println!("=== {} ===", w.name);
         for mode in FusionMode::ALL {
-            let obs = if dump_registry {
-                ObsOpts::metrics()
-            } else {
-                ObsOpts::off()
-            };
             let run = SimRequest::mode(w, mode).observing(obs).run();
-            let s = &run.stats;
-            println!(
-                "{:<14} ipc {:>6.3}  cyc {:>9}  inst {:>8}  uops {:>8}",
-                mode.name(),
-                s.ipc(),
-                s.cycles,
-                s.instructions,
-                s.uops
-            );
-            println!(
-                "   pairs: csf {} ncsf {}  (ld {} / st {} / other {})  dbr {} asym {}",
-                s.fusion.csf_pairs,
-                s.fusion.ncsf_pairs,
-                s.fusion.idiom_count(helios_core::Idiom::LoadPair),
-                s.fusion.idiom_count(helios_core::Idiom::StorePair),
-                s.fusion.other_pairs(),
-                s.fusion.dbr_pairs,
-                s.fusion.asymmetric_pairs,
-            );
-            println!(
-                "   contig: cont {} ovl {} same {} next {} | pred {} ok {} mis {} nest_abort {} repairs {:?}",
-                s.fusion.contiguous,
-                s.fusion.overlapping,
-                s.fusion.same_line,
-                s.fusion.next_line,
-                s.fusion.predictions,
-                s.fusion.predictions_correct,
-                s.fusion.mispredictions,
-                s.ncsf_nest_aborts,
-                s.fusion.repairs,
-            );
-            println!(
-                "   stalls: rename {} rob {} iq {} lq {} sq {} redirect {} | flush: mem {} fus {}",
-                s.rename_stall_cycles,
-                s.dispatch_stall_rob,
-                s.dispatch_stall_iq,
-                s.dispatch_stall_lq,
-                s.dispatch_stall_sq,
-                s.fetch_stall_redirect,
-                s.memdep_flushes,
-                s.fusion_flushes,
-            );
-            println!(
-                "   mem: l1acc {} l1m {} l2m {} l3m {} stlf {} | br {}/{} ind {}/{}",
-                s.l1d_accesses,
-                s.l1d_misses,
-                s.l2_misses,
-                s.l3_misses,
-                s.stlf_forwards,
-                s.branch_mispredicts,
-                s.branches,
-                s.indirect_mispredicts,
-                s.indirects,
-            );
-            if dump_registry {
-                println!("   --- registry ---");
-                for line in run.registry().to_text().lines() {
-                    println!("   {line}");
-                }
-            }
+            println!("--- {} ---", mode.name());
+            print!("{}", run.registry().to_text());
         }
         println!();
     }

@@ -1,9 +1,10 @@
 //! `sweepd` — the sweep-as-a-service daemon (DESIGN.md §17).
 //!
 //! Serves sweep grids to `--server` figure binaries over HTTP/1.1, backed
-//! by a persistent result cache keyed `(trace digest, config digest, ISA
-//! version)` and a shared content-addressed trace store. Repeated cells
-//! are answered from the cache without simulating.
+//! by a persistent result cache keyed `(trace digest, config digest)`
+//! under the timing model's digest (`helios::MODEL_DIGEST`) and a shared
+//! content-addressed trace store. Repeated cells are answered from the
+//! cache without simulating.
 //!
 //! ```text
 //! cargo run --release -p helios-bench --bin serve -- --addr 127.0.0.1:0

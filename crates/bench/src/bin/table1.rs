@@ -1,31 +1,25 @@
 //! Table I — the RISC-V fusion idioms (memory pairs in bold in the paper)
-//! with their dynamic consecutive-pair frequency over the workload suite.
+//! with their dynamic consecutive-pair frequency over the workload suite,
+//! from the census's greedy consecutive pairing.
 
 use helios::{Progress, Report, Table};
-use helios_core::{match_idiom, Idiom, ALL_IDIOMS};
-use helios_emu::Retired;
+use helios_bench::census::census;
+use helios_core::ALL_IDIOMS;
 
 fn main() {
     let workloads = helios_bench::select_workloads();
-    let mut counts = [0u64; 8];
+    let mut counts = [0u64; ALL_IDIOMS.len()];
     let mut total = 0u64;
     let progress = Progress::new(workloads.len());
     for w in &workloads {
-        let trace: Vec<Retired> = w.stream().collect();
-        total += trace.len() as u64;
-        let mut i = 0;
-        while i + 1 < trace.len() {
-            if let Some(idm) = match_idiom(&trace[i].inst, &trace[i + 1].inst, true, true) {
-                let idx = ALL_IDIOMS.iter().position(|&x| x == idm).unwrap();
-                counts[idx] += 1;
-                i += 2;
-            } else {
-                i += 1;
-            }
+        let c = census(w);
+        total += c.uops;
+        for (sum, n) in counts.iter_mut().zip(c.csf_by_idiom) {
+            *sum += n;
         }
-        progress.item_done(w.name, "scan");
+        progress.item_done(w.name, "census");
     }
-    progress.finish("scan");
+    progress.finish("census");
     let mut t = Table::new(vec![
         "idiom".into(),
         "category".into(),
@@ -51,5 +45,4 @@ fn main() {
         t,
     );
     report.print_and_emit();
-    let _ = Idiom::LoadPair;
 }

@@ -7,7 +7,7 @@
 //! a functional simulator.
 
 use helios::Workload;
-use helios_core::{classify_contiguity, is_asymmetric, match_idiom, Contiguity};
+use helios_core::{classify_contiguity, is_asymmetric, match_idiom, Contiguity, ALL_IDIOMS};
 use helios_emu::Retired;
 use helios_isa::{Inst, Reg};
 
@@ -16,8 +16,8 @@ use helios_isa::{Inst, Reg};
 pub struct Census {
     /// Total dynamic µ-ops.
     pub uops: u64,
-    /// Total dynamic memory µ-ops.
-    pub mem_uops: u64,
+    /// Consecutive pairs per Table-I idiom, indexed by `Idiom::index`.
+    pub csf_by_idiom: [u64; ALL_IDIOMS.len()],
     /// Consecutive Table-I memory pairs (load pair + store pair).
     pub csf_mem_pairs: u64,
     /// Consecutive non-memory idiom pairs.
@@ -81,13 +81,11 @@ pub fn census(w: &Workload) -> Census {
     let mut i = 0;
     while i + 1 < trace.len() {
         let (a, b) = (&trace[i], &trace[i + 1]);
-        if a.inst.is_mem() {
-            c.mem_uops += 1;
-        }
         if !paired[i] && !paired[i + 1] {
             if let Some(idiom) = match_idiom(&a.inst, &b.inst, true, true) {
                 paired[i] = true;
                 paired[i + 1] = true;
+                c.csf_by_idiom[idiom.index()] += 1;
                 if idiom.is_memory_pair() {
                     c.csf_mem_pairs += 1;
                     // The emulator records an access for every memory inst.
@@ -112,11 +110,6 @@ pub fn census(w: &Workload) -> Census {
             }
         }
         i += 1;
-    }
-    if let Some(last) = trace.last() {
-        if last.inst.is_mem() {
-            c.mem_uops += 1;
-        }
     }
 
     // Pass 2: non-consecutive (and consecutive-DBR) pairing with future

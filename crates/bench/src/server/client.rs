@@ -10,7 +10,9 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 
-use helios::{CellOutcome, CellReport, FusionMode, Json, RunResult, SimStats, Sweep, Workload};
+use helios::{
+    stats_from_json, CellOutcome, CellReport, FusionMode, Json, RunResult, Sweep, Workload,
+};
 
 use super::{EVENT_SCHEMA, REQUEST_SCHEMA};
 
@@ -92,15 +94,7 @@ fn claim(grid: &mut [GridCell], entry: &Json, what: &str) -> Result<GridCell, St
 
 fn parse_cell(grid: &mut [GridCell], cell: &Json) -> Result<RunResult, String> {
     let (name, mode, _) = claim(grid, cell, "cell")?;
-    let kv = cell
-        .get("stats")
-        .and_then(Json::as_object)
-        .ok_or("cell missing `stats`")?;
-    let pairs: Option<Vec<(&str, u64)>> = kv
-        .iter()
-        .map(|(k, v)| v.as_u64().map(|n| (k.as_str(), n)))
-        .collect();
-    let stats = SimStats::from_kv(pairs.ok_or("non-integer stat value")?)
+    let stats = stats_from_json(cell.get("stats").ok_or("cell missing `stats`")?)
         .map_err(|e| format!("{name}/{}: {e}", mode.name()))?;
     Ok(RunResult {
         workload: name,

@@ -34,8 +34,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use helios::{
-    shared_workload, CellOutcome, FusionMode, Json, PipeConfig, ResultStore, Sched, SweepPolicy,
-    TraceStore, Workload,
+    shared_workload, stats_to_json, CellOutcome, FusionMode, Json, PipeConfig, ResultStore, Sched,
+    SweepPolicy, TraceStore, Workload,
 };
 
 /// Schema tag on every streamed response line.
@@ -395,11 +395,7 @@ fn serve_sweep(shared: &Shared, writer: &mut impl Write, req: &SweepRequest) {
         ];
         let (kind, detail, attempts) = match event.outcome {
             CellOutcome::Ok(stats) => {
-                let kv = stats
-                    .to_kv()
-                    .into_iter()
-                    .map(|(k, v)| (k, Json::Num(v as f64)));
-                entry.push(("stats".to_string(), Json::Obj(kv.collect())));
+                entry.push(("stats".to_string(), stats_to_json(&stats)));
                 entries[event.index] = Some(Ok(Json::Obj(entry)));
                 continue;
             }

@@ -639,11 +639,7 @@ fn canned_daemon(done_line: String) -> (String, std::thread::JoinHandle<()>) {
 
 /// A `done` event listing `cells` and `failures`, each a (workload, mode).
 fn done_event(cells: &[(&str, FusionMode)], failures: &[(&str, FusionMode)]) -> String {
-    let stats: Vec<_> = helios::SimStats::default()
-        .to_kv()
-        .into_iter()
-        .map(|(k, v)| (k, Json::Num(v as f64)))
-        .collect();
+    let stats = helios::stats_to_json(&helios::SimStats::default());
     let entry = |w: &str, m: FusionMode| {
         vec![
             ("workload".to_string(), Json::Str(w.to_string())),
@@ -654,7 +650,7 @@ fn done_event(cells: &[(&str, FusionMode)], failures: &[(&str, FusionMode)]) -> 
         .iter()
         .map(|&(w, m)| {
             let mut e = entry(w, m);
-            e.push(("stats".to_string(), Json::Obj(stats.clone())));
+            e.push(("stats".to_string(), stats.clone()));
             Json::Obj(e)
         })
         .collect();
@@ -683,12 +679,13 @@ fn done_event(cells: &[(&str, FusionMode)], failures: &[(&str, FusionMode)]) -> 
 
 /// The thin client accepts a `done` event only if it answers each cell of
 /// the requested grid exactly once; the right count of cells is not enough.
+/// Each cell's stats must name every counter once.
 #[test]
 fn a_done_event_must_answer_the_requested_grid_exactly_once() {
     use FusionMode::{Helios, NoFusion};
     let fft = vec![helios::workload("fft").expect("registered")];
     let crc32_row: Vec<_> = FusionMode::ALL.iter().map(|&m| ("crc32", m)).collect();
-    let cases: [(&[FusionMode], String, &str); 3] = [
+    let cases: [(&[FusionMode], String, &str); 4] = [
         // Six crc32 cells for an fft request.
         (
             &FusionMode::ALL,
@@ -707,12 +704,18 @@ fn a_done_event_must_answer_the_requested_grid_exactly_once() {
             done_event(&[], &[("fft", Helios)]),
             "failure fft/Helios outside the grid",
         ),
+        // A cell whose stats repeat `cycles` in place of `uops`.
+        (
+            &[Helios],
+            done_event(&[("fft", Helios)], &[]).replace("\"uops\":0,", "\"cycles\":0,"),
+            "repeated stats key `cycles`",
+        ),
     ];
     for (modes, done, want) in cases {
         let (url, daemon) = canned_daemon(done);
         let answer = remote_sweep_with_summary(&url, &fft, modes);
         daemon.join().expect("canned daemon");
-        let err = answer.err().expect("a done event outside the grid is an error");
+        let err = answer.err().expect("a malformed done event is an error");
         assert!(err.contains(want), "want `{want}` in `{err}`");
     }
 }

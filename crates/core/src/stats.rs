@@ -187,28 +187,6 @@ impl FusionStats {
             1000.0 * self.mispredictions as f64 / instructions as f64
         }
     }
-
-    /// Merges another stats block into this one.
-    pub fn merge(&mut self, other: &FusionStats) {
-        self.csf_pairs += other.csf_pairs;
-        self.ncsf_pairs += other.ncsf_pairs;
-        for i in 0..self.by_idiom.len() {
-            self.by_idiom[i] += other.by_idiom[i];
-        }
-        self.contiguous += other.contiguous;
-        self.overlapping += other.overlapping;
-        self.same_line += other.same_line;
-        self.next_line += other.next_line;
-        self.dbr_pairs += other.dbr_pairs;
-        self.asymmetric_pairs += other.asymmetric_pairs;
-        self.ncsf_distance_sum += other.ncsf_distance_sum;
-        self.predictions += other.predictions;
-        self.predictions_correct += other.predictions_correct;
-        self.mispredictions += other.mispredictions;
-        for i in 0..self.repairs.len() {
-            self.repairs[i] += other.repairs[i];
-        }
-    }
 }
 
 #[cfg(test)]
@@ -269,23 +247,6 @@ mod tests {
         assert_eq!(s.repair_count(RepairCase::SpanMismatch), 1);
         assert!(RepairCase::SpanMismatch.needs_flush());
         assert!(!RepairCase::Deadlock.needs_flush());
-    }
-
-    #[test]
-    fn merge_adds_everything() {
-        let mut a = FusionStats::default();
-        a.record_pair(
-            Idiom::LoadPair,
-            FusionClass::Consecutive,
-            Some(Contiguity::Contiguous),
-            false,
-            false,
-            1,
-        );
-        let mut b = a.clone();
-        b.merge(&a);
-        assert_eq!(b.fused_pairs(), 2);
-        assert_eq!(b.contiguous, 2);
     }
 
     #[test]

@@ -326,12 +326,11 @@ impl PipeConfig {
     }
 
     /// A stable 64-bit digest of the *complete* configuration, used to key
-    /// sweep checkpoint-journal entries and result caches by
-    /// `(workload, config)` so a resumed or cached cell is only reused for
-    /// an identical configuration.
+    /// result-store lines by `(trace, config)` so a stored cell is only
+    /// reused for an identical configuration.
     ///
     /// FNV-1a over every field, enumerated through exhaustive destructuring
-    /// (the same compile-enforced idiom as `SimStats::to_kv`): adding a
+    /// (the same compile-enforced idiom as the `SimStats` counter table): adding a
     /// field to [`PipeConfig`], [`HeliosParams`], or any nested
     /// sub-structure without extending this function refuses to compile, so
     /// a new knob can never silently alias two distinct configs. The

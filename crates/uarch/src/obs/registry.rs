@@ -4,8 +4,7 @@
 //! [`StatsRegistry`] entry carrying its name, description, and unit — the
 //! gem5-style model where the stats *are* the schema. [`crate::SimStats`]
 //! stays a plain hot-path struct; [`crate::SimStats::export`] turns it into
-//! a registry view after the run, and the registry renders losslessly to
-//! JSON or CSV.
+//! a registry view after the run, and the registry renders to aligned text.
 
 use std::fmt;
 
@@ -33,7 +32,7 @@ pub enum Unit {
 }
 
 impl Unit {
-    /// Stable short name used in JSON/CSV emission and schema snapshots.
+    /// Stable short name used in text dumps and schema snapshots.
     pub fn name(self) -> &'static str {
         match self {
             Unit::Cycles => "cycles",
@@ -190,8 +189,8 @@ pub struct StatEntry {
 
 /// An ordered collection of self-describing statistics.
 ///
-/// Entries keep insertion order so text dumps and JSON artifacts are stable
-/// across runs; names must be unique (debug-asserted).
+/// Entries keep insertion order so text dumps are stable across runs;
+/// names must be unique (debug-asserted).
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct StatsRegistry {
     entries: Vec<StatEntry>,
@@ -269,84 +268,6 @@ impl StatsRegistry {
             .collect()
     }
 
-    /// Lossless JSON document: every entry with name, description, unit, and
-    /// value. Counters emit as exact integers; gauges use shortest-roundtrip
-    /// formatting with non-finite values mapped to `null`; histograms emit
-    /// count/sum/min/max plus non-empty `[lower_bound, count]` buckets.
-    pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(4096);
-        s.push_str("{\n  \"schema\": \"helios-stats-v1\",\n  \"stats\": [\n");
-        for (i, e) in self.entries.iter().enumerate() {
-            s.push_str("    {\"name\": ");
-            json_string(&mut s, e.name);
-            s.push_str(", \"unit\": ");
-            json_string(&mut s, e.unit.name());
-            s.push_str(", \"desc\": ");
-            json_string(&mut s, e.desc);
-            match &e.value {
-                StatValue::Count(v) => {
-                    s.push_str(", \"value\": ");
-                    s.push_str(&v.to_string());
-                }
-                StatValue::Gauge(v) => {
-                    s.push_str(", \"value\": ");
-                    push_json_f64(&mut s, *v);
-                }
-                StatValue::Hist(h) => {
-                    s.push_str(&format!(
-                        ", \"hist\": {{\"count\": {}, \"sum\": {}, \"min\": {}, \"max\": {}, \"buckets\": [",
-                        h.count(),
-                        h.sum(),
-                        h.min().unwrap_or(0),
-                        h.max().unwrap_or(0),
-                    ));
-                    for (j, (lo, c)) in h.buckets().enumerate() {
-                        if j > 0 {
-                            s.push_str(", ");
-                        }
-                        s.push_str(&format!("[{lo}, {c}]"));
-                    }
-                    s.push_str("]}");
-                }
-            }
-            s.push('}');
-            if i + 1 < self.entries.len() {
-                s.push(',');
-            }
-            s.push('\n');
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Lossless CSV: `name,unit,value` rows; histograms flatten into
-    /// `name.count` / `name.sum` / `name.min` / `name.max` and one
-    /// `name.le_<bound>` row per non-empty bucket.
-    pub fn to_csv(&self) -> String {
-        let mut s = String::from("name,unit,value\n");
-        for e in &self.entries {
-            match &e.value {
-                StatValue::Count(v) => {
-                    s.push_str(&format!("{},{},{}\n", e.name, e.unit.name(), v));
-                }
-                StatValue::Gauge(v) => {
-                    s.push_str(&format!("{},{},{}\n", e.name, e.unit.name(), FmtF64(*v)));
-                }
-                StatValue::Hist(h) => {
-                    let u = e.unit.name();
-                    s.push_str(&format!("{}.count,{},{}\n", e.name, u, h.count()));
-                    s.push_str(&format!("{}.sum,{},{}\n", e.name, u, h.sum()));
-                    s.push_str(&format!("{}.min,{},{}\n", e.name, u, h.min().unwrap_or(0)));
-                    s.push_str(&format!("{}.max,{},{}\n", e.name, u, h.max().unwrap_or(0)));
-                    for (lo, c) in h.buckets() {
-                        s.push_str(&format!("{}.bucket_{},{},{}\n", e.name, lo, u, c));
-                    }
-                }
-            }
-        }
-        s
-    }
-
     /// Human-readable text dump: one aligned `name value unit` line per
     /// entry; histograms render as count/mean/max.
     pub fn to_text(&self) -> String {
@@ -376,45 +297,6 @@ impl StatsRegistry {
             ));
         }
         s
-    }
-}
-
-/// Escapes `v` as a JSON string into `s`.
-fn json_string(s: &mut String, v: &str) {
-    s.push('"');
-    for c in v.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            c if (c as u32) < 0x20 => s.push_str(&format!("\\u{:04x}", c as u32)),
-            c => s.push(c),
-        }
-    }
-    s.push('"');
-}
-
-/// Writes `v` as a JSON number (`null` when not finite — JSON has no NaN).
-fn push_json_f64(s: &mut String, v: f64) {
-    if v.is_finite() {
-        s.push_str(&FmtF64(v).to_string());
-    } else {
-        s.push_str("null");
-    }
-}
-
-/// Shortest-roundtrip `f64` formatting that always stays a valid JSON
-/// number (Rust's `{}` prints integers without a fractional part).
-struct FmtF64(f64);
-
-impl fmt::Display for FmtF64 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = format!("{}", self.0);
-        if s.contains('.') || s.contains('e') || s.contains("inf") || s.contains("NaN") {
-            f.write_str(&s)
-        } else {
-            write!(f, "{s}.0")
-        }
     }
 }
 
@@ -469,28 +351,5 @@ mod tests {
             r.schema(),
             vec![("cycles", "cycles"), ("ipc", "ratio")]
         );
-    }
-
-    #[test]
-    fn json_is_lossless_for_counts_and_maps_nan_to_null() {
-        let mut r = StatsRegistry::new();
-        r.counter("big", "a large exact count", Unit::Events, 9_007_199_254_740_993);
-        r.gauge("nan", "undefined ratio", Unit::Ratio, f64::NAN);
-        let j = r.to_json();
-        assert!(j.contains("9007199254740993"), "{j}");
-        assert!(j.contains("null"), "{j}");
-        assert!(!j.contains("NaN"), "{j}");
-    }
-
-    #[test]
-    fn csv_flattens_histograms() {
-        let mut r = StatsRegistry::new();
-        let mut h = Histogram::new();
-        h.record(5);
-        h.record(6);
-        r.hist("lat", "latency", Unit::Cycles, h);
-        let csv = r.to_csv();
-        assert!(csv.contains("lat.count,cycles,2"));
-        assert!(csv.contains("lat.bucket_4,cycles,2"));
     }
 }

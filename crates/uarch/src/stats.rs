@@ -2,8 +2,11 @@
 //! cache behaviour, and the fusion statistics from `helios-core`.
 //!
 //! `SimStats` stays a plain struct of `u64` fields — the hot path increments
-//! them directly — and [`SimStats::export`] projects it into the
-//! self-describing [`StatsRegistry`] view after the run.
+//! them directly. One table (`SimStats::counters`) names every raw counter
+//! once; [`SimStats::export`] projects it into the self-describing
+//! [`StatsRegistry`] view after the run, and [`SimStats::to_kv`] /
+//! [`SimStats::from_kv`] carry it under the same names to the result store
+//! and the `sweepd` wire.
 
 use crate::obs::{StatsRegistry, Unit};
 use helios_core::{FusionStats, Idiom, RepairCase, ALL_IDIOMS};
@@ -85,7 +88,9 @@ impl SimStats {
 
     /// Total dispatch stall cycles.
     pub fn dispatch_stalls(&self) -> u64 {
-        self.dispatch_stall_rob + self.dispatch_stall_iq + self.dispatch_stall_lq
+        self.dispatch_stall_rob
+            + self.dispatch_stall_iq
+            + self.dispatch_stall_lq
             + self.dispatch_stall_sq
     }
 
@@ -134,202 +139,17 @@ impl SimStats {
         )
     }
 
-    /// Exports every counter plus the derived metrics into `reg` as
-    /// self-describing entries. Entry names and units are stable — the
-    /// schema snapshot test pins them.
-    pub fn export(&self, reg: &mut StatsRegistry) {
-        reg.counter("cycles", "total simulated cycles", Unit::Cycles, self.cycles);
-        reg.counter(
-            "instructions",
-            "committed architectural instructions (a fused pair counts as 2)",
-            Unit::Instructions,
-            self.instructions,
-        );
-        reg.counter("uops", "committed µ-ops (a fused pair counts as 1)", Unit::Uops, self.uops);
-        reg.counter(
-            "mem_instructions",
-            "committed memory instructions (pre-fusion count)",
-            Unit::Instructions,
-            self.mem_instructions,
-        );
-        reg.counter("loads", "committed loads (pre-fusion count)", Unit::Instructions, self.loads);
-        reg.counter("stores", "committed stores (pre-fusion count)", Unit::Instructions, self.stores);
-
-        reg.counter(
-            "rename_stall_cycles",
-            "cycles Rename made zero progress for want of physical registers",
-            Unit::Cycles,
-            self.rename_stall_cycles,
-        );
-        reg.counter(
-            "dispatch_stall_rob",
-            "cycles Dispatch stalled on a full ROB",
-            Unit::Cycles,
-            self.dispatch_stall_rob,
-        );
-        reg.counter(
-            "dispatch_stall_iq",
-            "cycles Dispatch stalled on a full IQ",
-            Unit::Cycles,
-            self.dispatch_stall_iq,
-        );
-        reg.counter(
-            "dispatch_stall_lq",
-            "cycles Dispatch stalled on a full LQ",
-            Unit::Cycles,
-            self.dispatch_stall_lq,
-        );
-        reg.counter(
-            "dispatch_stall_sq",
-            "cycles Dispatch stalled on a full SQ",
-            Unit::Cycles,
-            self.dispatch_stall_sq,
-        );
-        reg.counter(
-            "fetch_stall_redirect",
-            "cycles the frontend waited on a mispredicted branch",
-            Unit::Cycles,
-            self.fetch_stall_redirect,
-        );
-
-        reg.counter("branches", "committed conditional branches", Unit::Instructions, self.branches);
-        reg.counter(
-            "branch_mispredicts",
-            "mispredicted conditional branches",
-            Unit::Events,
-            self.branch_mispredicts,
-        );
-        reg.counter("indirects", "committed indirect jumps", Unit::Instructions, self.indirects);
-        reg.counter(
-            "indirect_mispredicts",
-            "mispredicted indirect-jump targets",
-            Unit::Events,
-            self.indirect_mispredicts,
-        );
-
-        reg.counter(
-            "memdep_flushes",
-            "memory-order violation flushes",
-            Unit::Events,
-            self.memdep_flushes,
-        );
-        reg.counter(
-            "ncsf_nest_aborts",
-            "predicted pairs abandoned at the Max Active NCS limit",
-            Unit::Events,
-            self.ncsf_nest_aborts,
-        );
-        reg.counter(
-            "fusion_flushes",
-            "fusion-repair pipeline flushes (§IV-C cases 5/6)",
-            Unit::Events,
-            self.fusion_flushes,
-        );
-
-        reg.counter("l1d_accesses", "L1D accesses (demand loads + store drains)", Unit::Events, self.l1d_accesses);
-        reg.counter("l1d_misses", "L1D misses", Unit::Events, self.l1d_misses);
-        reg.counter("l2_misses", "L2 misses", Unit::Events, self.l2_misses);
-        reg.counter("l3_misses", "L3 misses", Unit::Events, self.l3_misses);
-        reg.counter("stlf_forwards", "store-to-load forwards", Unit::Events, self.stlf_forwards);
-        reg.counter(
-            "uch_queue_dropped",
-            "UCH decoupling-queue records dropped (queue full)",
-            Unit::Events,
-            self.uch_queue_dropped,
-        );
-        reg.counter(
-            "uch_queue_drained",
-            "UCH decoupling-queue records drained",
-            Unit::Events,
-            self.uch_queue_drained,
-        );
-
-        reg.counter(
-            "deadlock_breaks",
-            "pending pairs unfused by the resource-deadlock breaker",
-            Unit::Events,
-            self.deadlock_breaks,
-        );
-        reg.counter("injected_faults", "faults injected by an attached FaultInjector", Unit::Events, self.injected_faults);
-        reg.counter(
-            "oracle_checked",
-            "commit records verified by an attached OracleChecker",
-            Unit::Events,
-            self.oracle_checked,
-        );
-
-        // Fusion statistics (helios-core) under the `fusion.` prefix.
-        let f = &self.fusion;
-        reg.counter("fusion.csf_pairs", "committed consecutive fused pairs", Unit::Pairs, f.csf_pairs);
-        reg.counter("fusion.ncsf_pairs", "committed non-consecutive fused pairs", Unit::Pairs, f.ncsf_pairs);
-        for idiom in ALL_IDIOMS {
-            reg.counter(
-                idiom_stat_name(idiom),
-                idiom.name(),
-                Unit::Pairs,
-                f.by_idiom[idiom.index()],
-            );
-        }
-        reg.counter("fusion.contiguous", "committed memory pairs: contiguous accesses", Unit::Pairs, f.contiguous);
-        reg.counter("fusion.overlapping", "committed memory pairs: overlapping accesses", Unit::Pairs, f.overlapping);
-        reg.counter("fusion.same_line", "committed memory pairs: same cache line", Unit::Pairs, f.same_line);
-        reg.counter("fusion.next_line", "committed memory pairs: adjacent cache line", Unit::Pairs, f.next_line);
-        reg.counter("fusion.dbr_pairs", "committed pairs with different base registers", Unit::Pairs, f.dbr_pairs);
-        reg.counter("fusion.asymmetric_pairs", "committed pairs with different access sizes", Unit::Pairs, f.asymmetric_pairs);
-        reg.counter(
-            "fusion.ncsf_distance_sum",
-            "sum of head→tail distances of committed NCSF pairs",
-            Unit::Uops,
-            f.ncsf_distance_sum,
-        );
-        reg.counter("fusion.predictions", "fusion predictions issued", Unit::Events, f.predictions);
-        reg.counter(
-            "fusion.predictions_correct",
-            "predictions committed as fused pairs",
-            Unit::Events,
-            f.predictions_correct,
-        );
-        reg.counter("fusion.mispredictions", "predictions unfused or flushed", Unit::Events, f.mispredictions);
-        for case in RepairCase::ALL {
-            let (name, desc) = repair_stat_entry(case);
-            reg.counter(name, desc, Unit::Events, f.repairs[case.index()]);
-        }
-
-        // Derived metrics.
-        reg.gauge("ipc", "instructions per cycle", Unit::Ratio, self.ipc());
-        reg.gauge(
-            "stall_pct",
-            "rename + dispatch structural stalls as % of cycles",
-            Unit::Percent,
-            self.stall_pct(),
-        );
-        reg.gauge("branch_mpki", "branch mispredictions per kilo-instruction", Unit::Mpki, self.branch_mpki());
-        reg.gauge("fusion.mpki", "fusion mispredictions per kilo-instruction", Unit::Mpki, self.fusion_mpki());
-        reg.gauge(
-            "fusion.fused_pct_of_uops",
-            "fused nucleii as % of dynamic instructions",
-            Unit::Percent,
-            self.fused_pct_of_uops(),
-        );
-    }
-
-    /// The registry view of these statistics.
-    pub fn registry(&self) -> StatsRegistry {
-        let mut reg = StatsRegistry::new();
-        self.export(&mut reg);
-        reg
-    }
-
-    /// Lossless flat `name → value` projection of *every* raw counter, in a
-    /// stable order — the sweep checkpoint-journal serialization.
-    /// [`SimStats::from_kv`] inverts it exactly, so a cell restored from a
-    /// journal reproduces byte-identical report output. Derived metrics
-    /// (IPC, MPKI, …) are recomputed, never stored.
+    /// The one table of raw counters, in registry order: each counter's
+    /// stable name, description, unit and a handle on its field. The
+    /// registry ([`SimStats::export`]), the result store and the `sweepd`
+    /// wire ([`SimStats::to_kv`] / [`SimStats::from_kv`]) all walk it, so a
+    /// counter has one name everywhere.
     ///
-    /// The exhaustive destructuring below is deliberate: adding a field to
-    /// `SimStats` or `FusionStats` without extending this projection is a
-    /// compile error, so the journal format can never silently drop data.
-    pub fn to_kv(&self) -> Vec<(String, u64)> {
+    /// The exhaustive destructure is deliberate: a field added to
+    /// `SimStats` or `FusionStats` fails to compile until it is listed here.
+    #[rustfmt::skip]
+    fn counters(&mut self) -> Vec<Counter<'_>> {
+        use Unit::{Cycles, Events, Instructions, Pairs, Uops};
         let SimStats {
             cycles,
             instructions,
@@ -378,192 +198,171 @@ impl SimStats {
             mispredictions,
             repairs,
         } = fusion;
-        let mut kv: Vec<(String, u64)> = [
-            ("cycles", *cycles),
-            ("instructions", *instructions),
-            ("uops", *uops),
-            ("mem_instructions", *mem_instructions),
-            ("loads", *loads),
-            ("stores", *stores),
-            ("rename_stall_cycles", *rename_stall_cycles),
-            ("dispatch_stall_rob", *dispatch_stall_rob),
-            ("dispatch_stall_iq", *dispatch_stall_iq),
-            ("dispatch_stall_lq", *dispatch_stall_lq),
-            ("dispatch_stall_sq", *dispatch_stall_sq),
-            ("fetch_stall_redirect", *fetch_stall_redirect),
-            ("branches", *branches),
-            ("branch_mispredicts", *branch_mispredicts),
-            ("indirects", *indirects),
-            ("indirect_mispredicts", *indirect_mispredicts),
-            ("memdep_flushes", *memdep_flushes),
-            ("ncsf_nest_aborts", *ncsf_nest_aborts),
-            ("fusion_flushes", *fusion_flushes),
-            ("l1d_accesses", *l1d_accesses),
-            ("l1d_misses", *l1d_misses),
-            ("l2_misses", *l2_misses),
-            ("l3_misses", *l3_misses),
-            ("stlf_forwards", *stlf_forwards),
-            ("uch_queue_dropped", *uch_queue_dropped),
-            ("uch_queue_drained", *uch_queue_drained),
-            ("deadlock_breaks", *deadlock_breaks),
-            ("injected_faults", *injected_faults),
-            ("oracle_checked", *oracle_checked),
-            ("fusion.csf_pairs", *csf_pairs),
-            ("fusion.ncsf_pairs", *ncsf_pairs),
-            ("fusion.contiguous", *contiguous),
-            ("fusion.overlapping", *overlapping),
-            ("fusion.same_line", *same_line),
-            ("fusion.next_line", *next_line),
-            ("fusion.dbr_pairs", *dbr_pairs),
-            ("fusion.asymmetric_pairs", *asymmetric_pairs),
-            ("fusion.ncsf_distance_sum", *ncsf_distance_sum),
-            ("fusion.predictions", *predictions),
-            ("fusion.predictions_correct", *predictions_correct),
-            ("fusion.mispredictions", *mispredictions),
-        ]
-        .into_iter()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-        for (i, v) in by_idiom.iter().enumerate() {
-            kv.push((format!("fusion.by_idiom.{i}"), *v));
-        }
-        for (i, v) in repairs.iter().enumerate() {
-            kv.push((format!("fusion.repairs.{i}"), *v));
-        }
-        kv
+        let mut t: Vec<Counter<'_>> = vec![
+            ("cycles", "total simulated cycles", Cycles, cycles),
+            ("instructions", "committed architectural instructions (a fused pair counts as 2)", Instructions, instructions),
+            ("uops", "committed µ-ops (a fused pair counts as 1)", Uops, uops),
+            ("mem_instructions", "committed memory instructions (pre-fusion count)", Instructions, mem_instructions),
+            ("loads", "committed loads (pre-fusion count)", Instructions, loads),
+            ("stores", "committed stores (pre-fusion count)", Instructions, stores),
+            ("rename_stall_cycles", "cycles Rename made zero progress for want of physical registers", Cycles, rename_stall_cycles),
+            ("dispatch_stall_rob", "cycles Dispatch stalled on a full ROB", Cycles, dispatch_stall_rob),
+            ("dispatch_stall_iq", "cycles Dispatch stalled on a full IQ", Cycles, dispatch_stall_iq),
+            ("dispatch_stall_lq", "cycles Dispatch stalled on a full LQ", Cycles, dispatch_stall_lq),
+            ("dispatch_stall_sq", "cycles Dispatch stalled on a full SQ", Cycles, dispatch_stall_sq),
+            ("fetch_stall_redirect", "cycles the frontend waited on a mispredicted branch", Cycles, fetch_stall_redirect),
+            ("branches", "committed conditional branches", Instructions, branches),
+            ("branch_mispredicts", "mispredicted conditional branches", Events, branch_mispredicts),
+            ("indirects", "committed indirect jumps", Instructions, indirects),
+            ("indirect_mispredicts", "mispredicted indirect-jump targets", Events, indirect_mispredicts),
+            ("memdep_flushes", "memory-order violation flushes", Events, memdep_flushes),
+            ("ncsf_nest_aborts", "predicted pairs abandoned at the Max Active NCS limit", Events, ncsf_nest_aborts),
+            ("fusion_flushes", "fusion-repair pipeline flushes (§IV-C cases 5/6)", Events, fusion_flushes),
+            ("l1d_accesses", "L1D accesses (demand loads + store drains)", Events, l1d_accesses),
+            ("l1d_misses", "L1D misses", Events, l1d_misses),
+            ("l2_misses", "L2 misses", Events, l2_misses),
+            ("l3_misses", "L3 misses", Events, l3_misses),
+            ("stlf_forwards", "store-to-load forwards", Events, stlf_forwards),
+            ("uch_queue_dropped", "UCH decoupling-queue records dropped (queue full)", Events, uch_queue_dropped),
+            ("uch_queue_drained", "UCH decoupling-queue records drained", Events, uch_queue_drained),
+            ("deadlock_breaks", "pending pairs unfused by the resource-deadlock breaker", Events, deadlock_breaks),
+            ("injected_faults", "faults injected by an attached FaultInjector", Events, injected_faults),
+            ("oracle_checked", "commit records verified by an attached OracleChecker", Events, oracle_checked),
+            ("fusion.csf_pairs", "committed consecutive fused pairs", Pairs, csf_pairs),
+            ("fusion.ncsf_pairs", "committed non-consecutive fused pairs", Pairs, ncsf_pairs),
+        ];
+        t.extend(ALL_IDIOMS.into_iter().zip(by_idiom).map(|(idiom, v)| {
+            let name = match idiom {
+                Idiom::LoadPair => "fusion.idiom.load_pair",
+                Idiom::StorePair => "fusion.idiom.store_pair",
+                Idiom::LuiAddi => "fusion.idiom.lui_addi",
+                Idiom::AuipcAddi => "fusion.idiom.auipc_addi",
+                Idiom::SlliAdd => "fusion.idiom.slli_add",
+                Idiom::SlliSrli => "fusion.idiom.slli_srli",
+                Idiom::IndexedLoad => "fusion.idiom.indexed_load",
+                Idiom::LoadGlobal => "fusion.idiom.load_global",
+            };
+            (name, idiom.name(), Pairs, v)
+        }));
+        t.extend([
+            ("fusion.contiguous", "committed memory pairs: contiguous accesses", Pairs, contiguous),
+            ("fusion.overlapping", "committed memory pairs: overlapping accesses", Pairs, overlapping),
+            ("fusion.same_line", "committed memory pairs: same cache line", Pairs, same_line),
+            ("fusion.next_line", "committed memory pairs: adjacent cache line", Pairs, next_line),
+            ("fusion.dbr_pairs", "committed pairs with different base registers", Pairs, dbr_pairs),
+            ("fusion.asymmetric_pairs", "committed pairs with different access sizes", Pairs, asymmetric_pairs),
+            ("fusion.ncsf_distance_sum", "sum of head→tail distances of committed NCSF pairs", Uops, ncsf_distance_sum),
+            ("fusion.predictions", "fusion predictions issued", Events, predictions),
+            ("fusion.predictions_correct", "predictions committed as fused pairs", Events, predictions_correct),
+            ("fusion.mispredictions", "predictions unfused or flushed", Events, mispredictions),
+        ]);
+        t.extend(RepairCase::ALL.into_iter().zip(repairs).map(|(case, v)| {
+            let (name, desc) = match case {
+                RepairCase::RawSourceFix => ("fusion.repair.raw_source_fix", "case 1: catalyst RaW source fixed in place"),
+                RepairCase::Deadlock => ("fusion.repair.deadlock", "case 2: dependency deadlock, unfused at Dispatch"),
+                RepairCase::StoreInCatalyst => ("fusion.repair.store_in_catalyst", "case 3: store inside a store pair's catalyst, unfused"),
+                RepairCase::Serializing => ("fusion.repair.serializing", "case 4: serializing instruction in the catalyst, unfused"),
+                RepairCase::SpanMismatch => ("fusion.repair.span_mismatch", "case 5: accesses span past the fusion region, flushed"),
+                RepairCase::TailFault => ("fusion.repair.tail_fault", "case 6: tail access faulted, flushed"),
+                RepairCase::CatalystFlush => ("fusion.repair.catalyst_flush", "case 7: catalyst squashed under the pair, unfused"),
+            };
+            (name, desc, Events, v)
+        }));
+        t
     }
 
-    /// Rebuilds a `SimStats` from a [`SimStats::to_kv`] projection.
+    /// Exports every raw counter plus the derived metrics into `reg` as
+    /// self-describing entries. Entry names and units are stable — the
+    /// schema snapshot test pins them.
+    pub fn export(&self, reg: &mut StatsRegistry) {
+        for (name, desc, unit, v) in self.clone().counters() {
+            reg.counter(name, desc, unit, *v);
+        }
+        reg.gauge("ipc", "instructions per cycle", Unit::Ratio, self.ipc());
+        reg.gauge(
+            "stall_pct",
+            "rename + dispatch structural stalls as % of cycles",
+            Unit::Percent,
+            self.stall_pct(),
+        );
+        reg.gauge(
+            "branch_mpki",
+            "branch mispredictions per kilo-instruction",
+            Unit::Mpki,
+            self.branch_mpki(),
+        );
+        reg.gauge(
+            "fusion.mpki",
+            "fusion mispredictions per kilo-instruction",
+            Unit::Mpki,
+            self.fusion_mpki(),
+        );
+        reg.gauge(
+            "fusion.fused_pct_of_uops",
+            "fused nucleii as % of dynamic instructions",
+            Unit::Percent,
+            self.fused_pct_of_uops(),
+        );
+    }
+
+    /// The registry view of these statistics.
+    pub fn registry(&self) -> StatsRegistry {
+        let mut reg = StatsRegistry::new();
+        self.export(&mut reg);
+        reg
+    }
+
+    /// Lossless flat `name → value` projection of every raw counter under
+    /// its registry name, in registry order — the result-store and `sweepd`
+    /// wire serialization. [`SimStats::from_kv`] inverts it exactly, so a
+    /// stored cell reproduces byte-identical report output. Derived metrics
+    /// (IPC, MPKI, …) are recomputed, never stored.
+    pub fn to_kv(&self) -> Vec<(&'static str, u64)> {
+        self.clone()
+            .counters()
+            .into_iter()
+            .map(|(name, _, _, v)| (name, *v))
+            .collect()
+    }
+
+    /// Rebuilds a `SimStats` from a [`SimStats::to_kv`] projection, in any
+    /// key order.
     ///
     /// # Errors
     ///
-    /// Unknown keys, out-of-range array indices, and incomplete projections
-    /// are all errors — a checkpoint journal written by a different stats
-    /// schema must be rejected (and its cell re-simulated), never partially
-    /// applied.
+    /// Unknown, repeated and missing keys are all errors — a projection
+    /// written by a different stats schema must be rejected (and its cell
+    /// re-simulated), never partially applied.
     pub fn from_kv<'a, I>(kv: I) -> Result<SimStats, String>
     where
         I: IntoIterator<Item = (&'a str, u64)>,
     {
         let mut out = SimStats::default();
-        let mut seen = 0usize;
+        let mut table = out.counters();
+        let mut seen = vec![false; table.len()];
         for (k, v) in kv {
-            let slot: &mut u64 = if let Some(i) = k.strip_prefix("fusion.by_idiom.") {
-                let i: usize = i.parse().map_err(|_| format!("bad idiom index `{k}`"))?;
-                out.fusion
-                    .by_idiom
-                    .get_mut(i)
-                    .ok_or_else(|| format!("idiom index out of range `{k}`"))?
-            } else if let Some(i) = k.strip_prefix("fusion.repairs.") {
-                let i: usize = i.parse().map_err(|_| format!("bad repair index `{k}`"))?;
-                out.fusion
-                    .repairs
-                    .get_mut(i)
-                    .ok_or_else(|| format!("repair index out of range `{k}`"))?
-            } else {
-                match k {
-                    "cycles" => &mut out.cycles,
-                    "instructions" => &mut out.instructions,
-                    "uops" => &mut out.uops,
-                    "mem_instructions" => &mut out.mem_instructions,
-                    "loads" => &mut out.loads,
-                    "stores" => &mut out.stores,
-                    "rename_stall_cycles" => &mut out.rename_stall_cycles,
-                    "dispatch_stall_rob" => &mut out.dispatch_stall_rob,
-                    "dispatch_stall_iq" => &mut out.dispatch_stall_iq,
-                    "dispatch_stall_lq" => &mut out.dispatch_stall_lq,
-                    "dispatch_stall_sq" => &mut out.dispatch_stall_sq,
-                    "fetch_stall_redirect" => &mut out.fetch_stall_redirect,
-                    "branches" => &mut out.branches,
-                    "branch_mispredicts" => &mut out.branch_mispredicts,
-                    "indirects" => &mut out.indirects,
-                    "indirect_mispredicts" => &mut out.indirect_mispredicts,
-                    "memdep_flushes" => &mut out.memdep_flushes,
-                    "ncsf_nest_aborts" => &mut out.ncsf_nest_aborts,
-                    "fusion_flushes" => &mut out.fusion_flushes,
-                    "l1d_accesses" => &mut out.l1d_accesses,
-                    "l1d_misses" => &mut out.l1d_misses,
-                    "l2_misses" => &mut out.l2_misses,
-                    "l3_misses" => &mut out.l3_misses,
-                    "stlf_forwards" => &mut out.stlf_forwards,
-                    "uch_queue_dropped" => &mut out.uch_queue_dropped,
-                    "uch_queue_drained" => &mut out.uch_queue_drained,
-                    "deadlock_breaks" => &mut out.deadlock_breaks,
-                    "injected_faults" => &mut out.injected_faults,
-                    "oracle_checked" => &mut out.oracle_checked,
-                    "fusion.csf_pairs" => &mut out.fusion.csf_pairs,
-                    "fusion.ncsf_pairs" => &mut out.fusion.ncsf_pairs,
-                    "fusion.contiguous" => &mut out.fusion.contiguous,
-                    "fusion.overlapping" => &mut out.fusion.overlapping,
-                    "fusion.same_line" => &mut out.fusion.same_line,
-                    "fusion.next_line" => &mut out.fusion.next_line,
-                    "fusion.dbr_pairs" => &mut out.fusion.dbr_pairs,
-                    "fusion.asymmetric_pairs" => &mut out.fusion.asymmetric_pairs,
-                    "fusion.ncsf_distance_sum" => &mut out.fusion.ncsf_distance_sum,
-                    "fusion.predictions" => &mut out.fusion.predictions,
-                    "fusion.predictions_correct" => &mut out.fusion.predictions_correct,
-                    "fusion.mispredictions" => &mut out.fusion.mispredictions,
-                    _ => return Err(format!("unknown stats key `{k}`")),
-                }
-            };
-            *slot = v;
-            seen += 1;
+            let i = table
+                .iter()
+                .position(|c| c.0 == k)
+                .ok_or_else(|| format!("unknown stats key `{k}`"))?;
+            if std::mem::replace(&mut seen[i], true) {
+                return Err(format!("repeated stats key `{k}`"));
+            }
+            *table[i].3 = v;
         }
-        let expect = SimStats::default().to_kv().len();
-        if seen != expect {
-            return Err(format!("incomplete stats projection: {seen} of {expect} keys"));
+        if let Some(i) = seen.iter().position(|s| !s) {
+            return Err(format!(
+                "incomplete stats projection: missing `{}`",
+                table[i].0
+            ));
         }
         Ok(out)
     }
 }
 
-/// Stable registry name for an idiom's pair counter.
-fn idiom_stat_name(idiom: Idiom) -> &'static str {
-    match idiom {
-        Idiom::LoadPair => "fusion.idiom.load_pair",
-        Idiom::StorePair => "fusion.idiom.store_pair",
-        Idiom::LuiAddi => "fusion.idiom.lui_addi",
-        Idiom::AuipcAddi => "fusion.idiom.auipc_addi",
-        Idiom::SlliAdd => "fusion.idiom.slli_add",
-        Idiom::SlliSrli => "fusion.idiom.slli_srli",
-        Idiom::IndexedLoad => "fusion.idiom.indexed_load",
-        Idiom::LoadGlobal => "fusion.idiom.load_global",
-    }
-}
-
-/// Stable registry `(name, description)` for a repair case's counter.
-fn repair_stat_entry(case: RepairCase) -> (&'static str, &'static str) {
-    match case {
-        RepairCase::RawSourceFix => (
-            "fusion.repair.raw_source_fix",
-            "case 1: catalyst RaW source fixed in place",
-        ),
-        RepairCase::Deadlock => (
-            "fusion.repair.deadlock",
-            "case 2: dependency deadlock, unfused at Dispatch",
-        ),
-        RepairCase::StoreInCatalyst => (
-            "fusion.repair.store_in_catalyst",
-            "case 3: store inside a store pair's catalyst, unfused",
-        ),
-        RepairCase::Serializing => (
-            "fusion.repair.serializing",
-            "case 4: serializing instruction in the catalyst, unfused",
-        ),
-        RepairCase::SpanMismatch => (
-            "fusion.repair.span_mismatch",
-            "case 5: accesses span past the fusion region, flushed",
-        ),
-        RepairCase::TailFault => (
-            "fusion.repair.tail_fault",
-            "case 6: tail access faulted, flushed",
-        ),
-        RepairCase::CatalystFlush => (
-            "fusion.repair.catalyst_flush",
-            "case 7: catalyst squashed under the pair, unfused",
-        ),
-    }
-}
+/// One raw counter of [`SimStats::counters`]: name, description, unit and
+/// the field it reads and writes.
+type Counter<'a> = (&'static str, &'static str, Unit, &'a mut u64);
 
 #[cfg(test)]
 mod tests {
@@ -613,36 +412,68 @@ mod tests {
         // Assign a distinct value per key, rebuild, and require the
         // projection of the rebuilt struct to reproduce the exact
         // assignment — this catches dropped, duplicated, *and* swapped
-        // field↔key mappings (to_kv's exhaustive destructure already makes
-        // a missing field a compile error).
-        let assigned: Vec<(String, u64)> = SimStats::default()
+        // field↔key mappings (the table's exhaustive destructure already
+        // makes a missing field a compile error).
+        let assigned: Vec<(&str, u64)> = SimStats::default()
             .to_kv()
             .into_iter()
             .enumerate()
             .map(|(i, (k, _))| (k, 1000 + i as u64))
             .collect();
         assert_eq!(assigned.len(), 29 + 12 + 8 + 7, "expected flat key count");
-        let s = SimStats::from_kv(
-            assigned.iter().map(|(k, v)| (k.as_str(), *v)).collect::<Vec<_>>(),
-        )
-        .unwrap();
+        let s = SimStats::from_kv(assigned.iter().copied()).unwrap();
         assert_eq!(s.to_kv(), assigned);
         assert_eq!(s.cycles, 1000, "first key is cycles");
-        assert_eq!(s.fusion.repairs[6], 1000 + 55, "last key is the last repair case");
+        assert_eq!(
+            s.fusion.repairs[6],
+            1000 + 55,
+            "last key is the last repair case"
+        );
+        // Key order does not matter.
+        assert_eq!(
+            SimStats::from_kv(assigned.iter().rev().copied()).unwrap(),
+            s
+        );
+    }
+
+    #[test]
+    fn kv_names_are_the_registry_counter_names_in_order() {
+        let reg = SimStats::default().registry();
+        let counters: Vec<&str> = reg
+            .entries()
+            .iter()
+            .filter(|e| matches!(e.value, crate::StatValue::Count(_)))
+            .map(|e| e.name)
+            .collect();
+        let kv: Vec<&str> = SimStats::default()
+            .to_kv()
+            .into_iter()
+            .map(|(k, _)| k)
+            .collect();
+        assert_eq!(kv, counters);
     }
 
     #[test]
     fn kv_rejects_drifted_schemas() {
-        let s = SimStats::default();
-        let mut kv: Vec<(String, u64)> = s.to_kv();
-        kv.push(("no_such_counter".into(), 1));
-        assert!(SimStats::from_kv(kv.iter().map(|(k, v)| (k.as_str(), *v)).collect::<Vec<_>>())
+        let kv = SimStats::default().to_kv();
+        let with =
+            |extra: (&'static str, u64)| kv.iter().copied().chain([extra]).collect::<Vec<_>>();
+        assert!(SimStats::from_kv(with(("no_such_counter", 1)))
             .unwrap_err()
             .contains("unknown"));
-        let kv = &s.to_kv()[1..];
-        assert!(SimStats::from_kv(kv.iter().map(|(k, v)| (k.as_str(), *v)).collect::<Vec<_>>())
+        assert!(SimStats::from_kv(kv[1..].iter().copied())
             .unwrap_err()
             .contains("incomplete"));
-        assert!(SimStats::from_kv([("fusion.by_idiom.99", 1u64)]).is_err());
+        // The retired index-keyed names are unknown.
+        assert!(SimStats::from_kv([("fusion.by_idiom.0", 1u64)]).is_err());
+        // A repeated key may not stand in for a missing one.
+        let mut repeated = kv.clone();
+        repeated[2] = ("cycles", 7);
+        assert!(SimStats::from_kv(repeated)
+            .unwrap_err()
+            .contains("repeated"));
+        assert!(SimStats::from_kv(with(("cycles", 7)))
+            .unwrap_err()
+            .contains("repeated"));
     }
 }

@@ -79,6 +79,25 @@ for id in fig02 fig03 fig04 fig05 fig08 fig09 fig10 table1 table2 table3 ablatio
 done
 echo "all figure JSON artifacts parse"
 
+echo "==> inspect smoke: one registry block per mode, raw counters and observer entries"
+# inspect prints each mode's stats registry; --obs adds the observer's
+# entries. The last raw counter of the table and one observer histogram
+# must both be there.
+inspect_out="$scratch/inspect.out"
+cargo run --release -q -p helios-bench --bin inspect -- --only crc32 --obs > "$inspect_out"
+blocks=$(grep -c '^--- .* ---$' "$inspect_out" || true)
+if [ "$blocks" -ne 6 ]; then
+    echo "ci: FAIL — inspect printed $blocks mode blocks, want 6" >&2
+    exit 1
+fi
+for want in fusion.repair.catalyst_flush obs.fetch_to_commit; do
+    if [ "$(grep -c "^$want " "$inspect_out")" -ne 6 ]; then
+        echo "ci: FAIL — inspect output lacks \`$want\` in some mode block" >&2
+        exit 1
+    fi
+done
+echo "inspect smoke: 6 mode blocks, each with fusion.repair.catalyst_flush and obs.fetch_to_commit"
+
 echo "==> resilience smoke: injected chaos must yield a partial, annotated report"
 # One panicking cell and one timing-out cell (both in the --quick set): the
 # sweep must finish every other cell, name both casualties in the JSON

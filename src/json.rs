@@ -1,9 +1,9 @@
 //! A minimal JSON value and recursive-descent parser.
 //!
-//! The reporting path emits JSON (`helios_uarch::StatsRegistry::to_json`,
-//! [`crate::Report::to_json`]); this module closes the loop so round-trip
-//! tests and tooling can *read* those artifacts without adding a
-//! dependency. It handles exactly the JSON the emitters produce (objects,
+//! The repo's one JSON writer and reader: report artifacts
+//! ([`crate::Report::to_json`]), result-store lines and the `sweepd` wire
+//! ([`crate::stats_to_json`]) all go through [`Json`], so round-trip tests
+//! and tooling can *read* what was written without adding a dependency. It handles exactly the JSON the emitters produce (objects,
 //! arrays, strings with escapes, numbers, booleans, null) plus arbitrary
 //! whitespace. Nesting is limited to [`MAX_DEPTH`] arrays and objects, so a
 //! hostile document is an error rather than a stack overflow.
@@ -12,8 +12,8 @@
 //!
 //! ```
 //! use helios::Json;
-//! let v = Json::parse(r#"{"schema": "helios-stats-v1", "stats": [1, 2.5]}"#)?;
-//! assert_eq!(v.get("schema").and_then(Json::as_str), Some("helios-stats-v1"));
+//! let v = Json::parse(r#"{"schema": "helios-report-v1", "stats": [1, 2.5]}"#)?;
+//! assert_eq!(v.get("schema").and_then(Json::as_str), Some("helios-report-v1"));
 //! assert_eq!(v.get("stats").and_then(Json::as_array).map(<[Json]>::len), Some(2));
 //! # Ok::<(), helios::JsonError>(())
 //! ```

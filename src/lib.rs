@@ -35,7 +35,7 @@ pub use json::{Json, JsonError};
 pub use metrics::{geomean, normalized_ipc, speedup_pct};
 pub use report::{format_row, results_dir, Report, Table};
 pub use sched::{CellEvent, Sched, Ticket};
-pub use store::ResultStore;
+pub use store::{stats_from_json, stats_to_json, ResultStore};
 
 /// Digest of the timing model's sources: `helios-uarch` and the workspace
 /// crates it depends on, hashed by `build.rs` in sorted path order. Every
@@ -66,7 +66,7 @@ pub mod exit {
     /// and were reported.
     pub const PARTIAL: i32 = 3;
     /// The sweep was interrupted (SIGINT or a stop-after cap) before every
-    /// cell was attempted; finished cells are in the checkpoint journal.
+    /// cell was attempted; finished cells are in the result store.
     pub const INTERRUPTED: i32 = 130;
 }
 pub use helios_workloads::{all_workloads, shared_workload, workload, Workload};

@@ -166,10 +166,6 @@ impl ResultStore {
         if state.entries.contains_key(&key) {
             return Ok(());
         }
-        let kv = stats
-            .to_kv()
-            .into_iter()
-            .map(|(k, v)| (k, Json::Num(v as f64)));
         let mut line = Json::Obj(vec![
             ("schema".to_string(), Json::Str(SCHEMA.to_string())),
             ("model".to_string(), Json::Str(hex16(MODEL_DIGEST))),
@@ -177,7 +173,7 @@ impl ResultStore {
             ("cfg".to_string(), Json::Str(hex16(key.cfg))),
             ("workload".to_string(), Json::Str(workload.to_string())),
             ("mode".to_string(), Json::Str(mode.to_string())),
-            ("stats".to_string(), Json::Obj(kv.collect())),
+            ("stats".to_string(), stats_to_json(stats)),
         ])
         .to_string();
         line.push('\n');
@@ -201,13 +197,38 @@ fn parse_line(line: &str) -> Option<(CellKey, SimStats)> {
         trace: parse_hex16(doc.get("trace")?.as_str()?)?,
         cfg: parse_hex16(doc.get("cfg")?.as_str()?)?,
     };
-    let kv: Option<Vec<(&str, u64)>> = doc
-        .get("stats")?
-        .as_object()?
+    stats_from_json(doc.get("stats")?).ok().map(|s| (key, s))
+}
+
+/// The `stats` object of a store line and of a `sweepd` `done` event:
+/// every raw counter under its registry name ([`SimStats::to_kv`]).
+pub fn stats_to_json(stats: &SimStats) -> Json {
+    Json::Obj(
+        stats
+            .to_kv()
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), Json::Num(v as f64)))
+            .collect(),
+    )
+}
+
+/// Inverse of [`stats_to_json`].
+///
+/// # Errors
+///
+/// Anything but an object of integers naming every counter exactly once.
+pub fn stats_from_json(stats: &Json) -> Result<SimStats, String> {
+    let kv = stats
+        .as_object()
+        .ok_or("`stats` is not an object")?
         .iter()
-        .map(|(k, v)| v.as_u64().map(|n| (k.as_str(), n)))
-        .collect();
-    SimStats::from_kv(kv?).ok().map(|s| (key, s))
+        .map(|(k, v)| {
+            v.as_u64()
+                .map(|n| (k.as_str(), n))
+                .ok_or_else(|| format!("stats key `{k}` is not a counter"))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    SimStats::from_kv(kv)
 }
 
 #[cfg(test)]
@@ -277,7 +298,8 @@ mod tests {
         let first = std::fs::read_to_string(&path).unwrap();
         assert!(first.contains(&format!("\"model\":\"{}\"", hex16(MODEL_DIGEST))));
         // A later duplicate, a corrupt line, a foreign schema, another
-        // model's line and a non-UTF-8 line.
+        // model's line, a line repeating `cycles` in place of `uops`, and a
+        // non-UTF-8 line.
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
         write!(f, "{}", first.replace("\"cycles\":10", "\"cycles\":20")).unwrap();
         writeln!(f, "{{ not json").unwrap();
@@ -291,6 +313,8 @@ mod tests {
                 .replace(&hex16(MODEL_DIGEST), &hex16(!MODEL_DIGEST))
         )
         .unwrap();
+        assert!(first.contains("\"uops\":0,"));
+        write!(f, "{}", first.replace("\"uops\":0,", "\"cycles\":40,")).unwrap();
         f.write_all(b"\xff\xfe\n").unwrap();
         drop(f);
         let store = ResultStore::open(&path).unwrap();

@@ -1,10 +1,11 @@
 //! Observability-layer integration tests: the stats-registry schema, the
 //! event trace reconciling exactly against the counters on the full suite,
-//! JSON artifacts round-tripping through the bundled parser, and the Konata
-//! emission agreeing with the retire counts.
+//! stats and report JSON round-tripping through the bundled parser, and
+//! the Konata emission agreeing with the retire counts.
 
 use helios::{
-    FusionMode, Json, ObsOpts, Report, SimRequest, StatValue, Table, Workload,
+    stats_from_json, stats_to_json, FusionMode, Json, ObsOpts, Report, SimRequest, StatValue,
+    Table, Workload,
 };
 
 fn smallest_workload() -> Workload {
@@ -122,48 +123,33 @@ fn observer_does_not_perturb_timing() {
     assert_eq!(plain, observed, "observer changed simulation results");
 }
 
-/// Registry JSON parses with the bundled parser and round-trips every
-/// counter value exactly.
+/// Every counter of a real run round-trips exactly through the stats codec
+/// the result store and the `sweepd` wire use: `stats_to_json`, then
+/// `Json::to_string` → `Json::parse`, then `stats_from_json`. The object
+/// carries each registry counter under its registry name.
 #[test]
 fn registry_json_round_trips() {
     let w = smallest_workload();
     let run = SimRequest::mode(&w, FusionMode::Helios)
         .observing(ObsOpts::metrics())
         .run();
-    let reg = run.registry();
-    let doc = Json::parse(&reg.to_json()).expect("registry JSON parses");
-    assert_eq!(
-        doc.get("schema").and_then(Json::as_str),
-        Some("helios-stats-v1")
-    );
-    let stats = doc
-        .get("stats")
-        .and_then(Json::as_array)
-        .expect("stats array");
-    assert_eq!(stats.len(), reg.entries().len());
-    for (entry, j) in reg.entries().iter().zip(stats) {
-        assert_eq!(j.get("name").and_then(Json::as_str), Some(entry.name));
-        assert_eq!(j.get("unit").and_then(Json::as_str), Some(entry.unit.name()));
-        match &entry.value {
-            StatValue::Count(v) => {
-                assert_eq!(
-                    j.get("value").and_then(Json::as_u64),
-                    Some(*v),
-                    "{}: counter must round-trip exactly",
-                    entry.name
-                );
-            }
-            StatValue::Gauge(v) if v.is_finite() => {
-                let got = j.get("value").and_then(Json::as_f64).unwrap();
-                assert_eq!(got, *v, "{}: gauge must round-trip exactly", entry.name);
-            }
-            StatValue::Gauge(_) => {}
-            StatValue::Hist(h) => {
-                let hist = j.get("hist").expect("hist object");
-                assert_eq!(hist.get("count").and_then(Json::as_u64), Some(h.count()));
-                assert_eq!(hist.get("sum").and_then(Json::as_u64), Some(h.sum()));
-            }
-        }
+    let doc = Json::parse(&stats_to_json(&run.stats).to_string()).expect("stats JSON parses");
+    assert_eq!(stats_from_json(&doc), Ok(run.stats.clone()));
+    let counters: Vec<(&str, u64)> = run
+        .stats
+        .registry()
+        .entries()
+        .iter()
+        .filter_map(|e| match e.value {
+            StatValue::Count(v) => Some((e.name, v)),
+            _ => None,
+        })
+        .collect();
+    let fields = doc.as_object().expect("stats object");
+    assert_eq!(fields.len(), counters.len());
+    for ((name, v), (k, j)) in counters.into_iter().zip(fields) {
+        assert_eq!(k, name);
+        assert_eq!(j.as_u64(), Some(v), "{name}: not exact");
     }
 }
 
