@@ -1,10 +1,10 @@
 //! HTRC2: the compact, columnar, block-framed on-disk trace encoding.
 //!
 //! Serializing every [`Retired`] field raw costs 47 bytes per dynamic
-//! µ-op on disk (~88 in memory), which would cap the trace corpus at a few
-//! hundred megabytes and force sweep replay to hold whole traces in memory.
-//! HTRC2 exploits the fact that a retired-µ-op trace is *almost entirely
-//! derivable* from ISA semantics:
+//! µ-op on disk (`size_of::<Retired>()` = 72 in memory), which would cap
+//! the trace corpus at a few hundred megabytes and force sweep replay to
+//! hold whole traces in memory. HTRC2 exploits the fact that a
+//! retired-µ-op trace is *almost entirely derivable* from ISA semantics:
 //!
 //! * **`pc` chains**: every µ-op's `pc` equals the previous µ-op's
 //!   `next_pc`, so only each block's start PC is stored.
@@ -28,13 +28,44 @@
 //! (O(block) peak memory instead of O(trace)) and any flipped bit in any
 //! block is detected before a single µ-op from it is replayed.
 //!
+//! **Recording streams.** The one encoder, `Encoder`, takes µ-ops one at
+//! a time, as the emulator retires them: it validates each, appends it to
+//! the current block's column streams and folds it into the content
+//! stamp, sealing a block as soon as it is full. Only the encoded blocks
+//! (~1.3 B/µ-op) are kept; the header, which needs the final µ-op count
+//! and stamp, is written first by `Encoder::finish`, then the blocks. The
+//! trace store records through it, so a recording never holds a
+//! whole-trace `Vec<Retired>`; [`encode_v2`] is the same encoder run over
+//! a slice.
+//!
+//! **The content stamp.** The header carries a semantic stamp: the
+//! [`ISA_VERSION`] plus a 64-bit hash of the full content, the same value
+//! an in-memory [`RecordedTrace::stamp`](crate::RecordedTrace::stamp)
+//! reports and [`decode_all`] re-derives. It is computed in one pass, a
+//! 64-bit word at a time. Each µ-op contributes six words: `seq`, `pc`,
+//! `next_pc`, the instruction word packed with the memory tag (0 none,
+//! 1 load, 2 store) at bit 32, the access size at bit 40 and the `rd`
+//! presence bit at bit 48, then the memory address and the `rd` value
+//! (0 when absent). Each word `w` is absorbed as
+//! `h = (h ^ w) * 0x9e3779b97f4a7c15; h ^= h >> 32`, a bijection of the
+//! state and of the word, so changing any one word always changes the
+//! stamp. The output words, the output count and, last, the µ-op count
+//! follow, so no length is needed up front. The murmur3 64-bit finalizer
+//! then gives every input bit full avalanche over the result.
+//!
+//! **Format version.** The header's version field is 3. Version 2 had the
+//! same layout but a byte-at-a-time FNV-1a stamp that hashed the µ-op
+//! count first; a version-2 file fails with
+//! [`TraceIoError::FormatVersion`], and the store quarantines and
+//! re-records it.
+//!
 //! Traces not produced by the emulator (e.g. a hand-built µ-op sequence
 //! that violates pc chaining or carries a load value on a non-load) are
 //! rejected at encode time with [`TraceIoError::Unencodable`] rather than
 //! silently mis-encoded; every trace the emulator can produce round-trips
 //! exactly.
 
-use crate::record::{content_stamp, Fnv, TraceIoError, TraceStamp, TRACE_MAGIC};
+use crate::record::{content_stamp, ContentHash, Fnv, TraceIoError, TraceStamp, TRACE_MAGIC};
 use crate::{MemAccess, Retired};
 use helios_isa::{decode, encode, Inst, Reg, DEFAULT_STACK_TOP, ISA_VERSION};
 use std::io::{self, Read, Write};
@@ -45,8 +76,11 @@ use std::path::{Path, PathBuf};
 /// small enough that a streaming replay holds ~5 MB, not a whole trace.
 pub const DEFAULT_BLOCK_UOPS: u32 = 64 * 1024;
 
-/// On-disk format version written by [`encode_v2`], the only one read.
-pub(crate) const V2_FORMAT_VERSION: u16 = 2;
+/// On-disk format version written by [`Encoder`], the only one read.
+/// Version 3 changed only the content stamp's definition (see the module
+/// docs), so a version-2 file fails with [`TraceIoError::FormatVersion`]
+/// and the store re-records it instead of reporting a stamp mismatch.
+pub(crate) const FORMAT_VERSION: u16 = 3;
 
 // --- varint / zigzag ------------------------------------------------------
 
@@ -167,7 +201,7 @@ pub struct Htrc2Header {
 fn encode_header(h: &Htrc2Header) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64 + h.name.len() + 8 * h.output.len());
     buf.extend_from_slice(TRACE_MAGIC);
-    buf.extend_from_slice(&V2_FORMAT_VERSION.to_le_bytes());
+    buf.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
     buf.extend_from_slice(&h.stamp.isa_version.to_le_bytes());
     buf.extend_from_slice(&h.stamp.checksum.to_le_bytes());
     buf.extend_from_slice(&h.uops.to_le_bytes());
@@ -212,10 +246,10 @@ pub fn read_header<R: Read>(r: &mut R) -> Result<Htrc2Header, TraceIoError> {
         ]));
     }
     let version = u16::from_le_bytes([fixed[4], fixed[5]]);
-    if version != V2_FORMAT_VERSION {
+    if version != FORMAT_VERSION {
         return Err(TraceIoError::FormatVersion {
             found: version,
-            want: V2_FORMAT_VERSION,
+            want: FORMAT_VERSION,
         });
     }
     let isa_version = u32::from_le_bytes(fixed[6..10].try_into().unwrap());
@@ -303,10 +337,246 @@ fn read_bounded_varint<R: Read>(r: &mut R, seen: &mut Vec<u8>) -> Result<u64, Tr
 
 // --- encoding -------------------------------------------------------------
 
+/// The one HTRC2 encoder, fed one µ-op at a time.
+///
+/// Each µ-op is validated and appended to the column streams of the block
+/// being built, and folded into the content stamp, as it arrives; a full
+/// block is sealed into its frame at once. So the encoder never holds a
+/// `Retired` record, only the encoded blocks (~1.3 B/µ-op) and one
+/// block's streams, and the trace store runs the emulator straight into
+/// it. [`Encoder::finish`] writes the header (which needs the final µ-op
+/// count and stamp) and then the blocks. [`encode_v2`] is this encoder
+/// run over a slice.
+#[derive(Debug)]
+pub(crate) struct Encoder {
+    block_uops: u32,
+    /// The architectural register file after the last pushed µ-op.
+    regs: [u64; 32],
+    stamp: ContentHash,
+    uops: u64,
+    /// Sealed blocks, each a complete `len | payload | checksum` frame.
+    frames: Vec<Vec<u8>>,
+    block: BlockStreams,
+}
+
+/// The block under construction: its fixed fields and column streams.
+/// The stream buffers are cleared, not freed, between blocks.
+#[derive(Debug, Default)]
+struct BlockStreams {
+    count: u32,
+    first_seq: u64,
+    start_pc: u64,
+    snapshot: [u64; 32],
+    expect_seq: u64,
+    expect_pc: u64,
+    dict: std::collections::BTreeMap<u64, u32>,
+    bitmap: Vec<u8>,
+    targets: Vec<u8>,
+    addrs: Vec<u8>,
+    loads: Vec<u8>,
+    prev_addr: u64,
+    prev_load: u64,
+}
+
+impl Encoder {
+    /// An encoder cutting blocks of `block_uops` µ-ops:
+    /// [`DEFAULT_BLOCK_UOPS`] everywhere except tests that want to
+    /// exercise multi-block framing cheaply.
+    pub(crate) fn new(block_uops: u32) -> Encoder {
+        // The register model must start exactly as `Cpu::new` leaves the
+        // machine, or the first read of an uninitialised-looking register
+        // (sp, typically) spuriously fails semantic validation.
+        let mut regs = [0u64; 32];
+        regs[Reg::SP.index()] = DEFAULT_STACK_TOP;
+        Encoder {
+            block_uops: block_uops.max(1),
+            regs,
+            stamp: ContentHash::new(),
+            uops: 0,
+            frames: Vec::new(),
+            block: BlockStreams::default(),
+        }
+    }
+
+    /// Appends the next µ-op in program order.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceIoError::Unencodable`] if the µ-op violates the derivation
+    /// invariants every emulator-produced trace satisfies (dense `seq`, pc
+    /// chaining, memory shape matching the instruction, destination value
+    /// matching ISA semantics). A rejected µ-op is not appended.
+    pub(crate) fn push(&mut self, u: &Retired) -> Result<(), TraceIoError> {
+        let b = &mut self.block;
+        // Validate everything before touching any state.
+        if b.count > 0 && u.seq != b.expect_seq {
+            return Err(unencodable(u.seq, "sequence numbers are not dense"));
+        }
+        if b.count > 0 && u.pc != b.expect_pc {
+            return Err(unencodable(
+                u.seq,
+                format!(
+                    "pc {:#x} does not chain from previous next_pc {:#x}",
+                    u.pc, b.expect_pc
+                ),
+            ));
+        }
+        let word = encode(&u.inst);
+        let known = b.dict.get(&u.pc).copied();
+        if known.is_some_and(|w| w != word) {
+            return Err(unencodable(u.seq, "two different instructions at one pc"));
+        }
+        let addr = match (mem_shape(&u.inst), u.mem) {
+            (None, None) => None,
+            (Some((size, is_store)), Some(m)) if m.size == size && m.is_store == is_store => {
+                Some(m.addr)
+            }
+            _ => {
+                return Err(unencodable(
+                    u.seq,
+                    "memory access does not match the instruction's shape",
+                ));
+            }
+        };
+        let (write, load) = match (derive_rd(&u.inst, u.pc, &self.regs), u.rd_value) {
+            (DerivedRd::None, None) => (None, None),
+            (DerivedRd::Value(rd, v), Some(actual)) if v == actual => (Some((rd, v)), None),
+            (DerivedRd::Load(rd), Some(v)) => (Some((rd, v)), Some(v)),
+            _ => {
+                return Err(unencodable(
+                    u.seq,
+                    "destination value does not match ISA semantics",
+                ));
+            }
+        };
+
+        if b.count == 0 {
+            b.first_seq = u.seq;
+            b.start_pc = u.pc;
+            b.snapshot = self.regs;
+        }
+        if known.is_none() {
+            b.dict.insert(u.pc, word);
+        }
+        let i = b.count as usize;
+        if i.is_multiple_of(8) {
+            b.bitmap.push(0);
+        }
+        if u.next_pc != u.pc.wrapping_add(4) {
+            b.bitmap[i / 8] |= 1 << (i % 8);
+            put_delta(&mut b.targets, u.pc.wrapping_add(4), u.next_pc);
+        }
+        if let Some(addr) = addr {
+            put_delta(&mut b.addrs, b.prev_addr, addr);
+            b.prev_addr = addr;
+        }
+        if let Some(v) = load {
+            put_delta(&mut b.loads, b.prev_load, v);
+            b.prev_load = v;
+        }
+        if let Some((rd, v)) = write.filter(|(rd, _)| !rd.is_zero()) {
+            self.regs[rd.index()] = v;
+        }
+        b.expect_pc = u.next_pc;
+        b.expect_seq = u.seq + 1;
+        b.count += 1;
+        self.stamp.uop(u);
+        self.uops += 1;
+        if b.count == self.block_uops {
+            self.seal();
+        }
+        Ok(())
+    }
+
+    /// Frames the block under construction and starts an empty one.
+    fn seal(&mut self) {
+        let b = &mut self.block;
+        // Dictionary: count, then (pc-delta varint, word u32 LE) sorted by pc.
+        let mut dict_stream = Vec::with_capacity(10 + b.dict.len() * 9);
+        put_varint(&mut dict_stream, b.dict.len() as u64);
+        let mut prev_pc = 0u64;
+        for (&pc, &word) in &b.dict {
+            put_varint(&mut dict_stream, pc.wrapping_sub(prev_pc));
+            dict_stream.extend_from_slice(&word.to_le_bytes());
+            prev_pc = pc;
+        }
+        let streams = [&dict_stream, &b.bitmap, &b.targets, &b.addrs, &b.loads];
+        let streams_len: usize = streams.iter().map(|s| s.len()).sum();
+        // Length, fixed fields, snapshot, five stream-length varints,
+        // streams, checksum.
+        let mut frame = Vec::with_capacity(4 + 20 + 256 + 50 + streams_len + 8);
+        frame.extend_from_slice(&[0; 4]); // payload length, patched below
+        frame.extend_from_slice(&b.count.to_le_bytes());
+        frame.extend_from_slice(&b.first_seq.to_le_bytes());
+        frame.extend_from_slice(&b.start_pc.to_le_bytes());
+        for v in b.snapshot {
+            frame.extend_from_slice(&v.to_le_bytes());
+        }
+        for stream in streams {
+            put_varint(&mut frame, stream.len() as u64);
+            frame.extend_from_slice(stream);
+        }
+        let payload_len = (frame.len() - 4) as u32;
+        frame[..4].copy_from_slice(&payload_len.to_le_bytes());
+        let sum = fnv_of(&frame[4..]);
+        frame.extend_from_slice(&sum.to_le_bytes());
+        self.frames.push(frame);
+
+        b.count = 0;
+        b.dict.clear();
+        for stream in [&mut b.bitmap, &mut b.targets, &mut b.addrs, &mut b.loads] {
+            stream.clear();
+        }
+        b.prev_addr = 0;
+        b.prev_load = 0;
+    }
+
+    /// Seals the last block and writes the whole trace to `w`: the header,
+    /// carrying the content stamp over everything pushed plus `output`,
+    /// then every block. `name` is carried in the header for `trace ls`.
+    /// Returns the number of bytes written.
+    ///
+    /// # Errors
+    ///
+    /// [`TraceIoError::Unencodable`] for more than `u32::MAX` blocks; I/O
+    /// errors from `w`.
+    pub(crate) fn finish<W: Write>(
+        mut self,
+        output: &[u64],
+        name: &str,
+        w: &mut W,
+    ) -> Result<u64, TraceIoError> {
+        if self.block.count > 0 {
+            self.seal();
+        }
+        let blocks = u32::try_from(self.frames.len())
+            .map_err(|_| unencodable(0, "trace too long for u32 block count"))?;
+        let header = Htrc2Header {
+            stamp: self.stamp.finish(self.uops, output),
+            uops: self.uops,
+            block_uops: self.block_uops,
+            blocks,
+            name: name.to_string(),
+            output: output.to_vec(),
+            header_bytes: 0, // filled by encode_header's length below
+        };
+        let head = encode_header(&header);
+        w.write_all(&head).map_err(TraceIoError::from)?;
+        let mut written = head.len() as u64;
+        for frame in &self.frames {
+            w.write_all(frame).map_err(TraceIoError::from)?;
+            written += frame.len() as u64;
+        }
+        Ok(written)
+    }
+}
+
 /// Serializes a retired-µ-op trace to `w` in the HTRC2 format, returning
-/// the number of bytes written. `name` is carried in the header for
-/// `trace ls`; `block_uops` is [`DEFAULT_BLOCK_UOPS`] everywhere except
-/// tests that want to exercise multi-block framing cheaply.
+/// the number of bytes written: the crate's one streaming encoder run
+/// over `uops`. `name` is carried
+/// in the header for `trace ls`; `block_uops` is [`DEFAULT_BLOCK_UOPS`]
+/// everywhere except tests that want to exercise multi-block framing
+/// cheaply.
 ///
 /// # Errors
 ///
@@ -321,143 +591,11 @@ pub fn encode_v2<W: Write>(
     block_uops: u32,
     w: &mut W,
 ) -> Result<u64, TraceIoError> {
-    let block_uops = block_uops.max(1);
-    let blocks = uops.len().div_ceil(block_uops as usize);
-    if blocks > u32::MAX as usize {
-        return Err(unencodable(0, "trace too long for u32 block count"));
+    let mut enc = Encoder::new(block_uops);
+    for u in uops {
+        enc.push(u)?;
     }
-    let header = Htrc2Header {
-        stamp: content_stamp(uops, output),
-        uops: uops.len() as u64,
-        block_uops,
-        blocks: blocks as u32,
-        name: name.to_string(),
-        output: output.to_vec(),
-        header_bytes: 0, // filled by encode_header's length below
-    };
-    let head = encode_header(&header);
-    w.write_all(&head).map_err(TraceIoError::from)?;
-    let mut written = head.len() as u64;
-
-    // The register model must start exactly as `Cpu::new` leaves the
-    // machine, or the first read of an uninitialised-looking register
-    // (sp, typically) spuriously fails semantic validation.
-    let mut regs = [0u64; 32];
-    regs[Reg::SP.index()] = DEFAULT_STACK_TOP;
-    for chunk in uops.chunks(block_uops as usize) {
-        let payload = encode_block(chunk, &mut regs)?;
-        w.write_all(&(payload.len() as u32).to_le_bytes())
-            .map_err(TraceIoError::from)?;
-        w.write_all(&payload).map_err(TraceIoError::from)?;
-        w.write_all(&fnv_of(&payload).to_le_bytes())
-            .map_err(TraceIoError::from)?;
-        written += 4 + payload.len() as u64 + 8;
-    }
-    Ok(written)
-}
-
-/// Encodes one block, advancing `regs` (the architectural register file
-/// after the block's last µ-op) for the next block's snapshot.
-fn encode_block(chunk: &[Retired], regs: &mut [u64; 32]) -> Result<Vec<u8>, TraceIoError> {
-    let first = &chunk[0];
-    // Streams.
-    let mut dict: std::collections::BTreeMap<u64, u32> = std::collections::BTreeMap::new();
-    let mut bitmap = vec![0u8; chunk.len().div_ceil(8)];
-    let mut targets = Vec::new();
-    let mut addrs = Vec::new();
-    let mut loads = Vec::new();
-    let mut prev_addr = 0u64;
-    let mut prev_load = 0u64;
-    let mut expect_pc = first.pc;
-    let mut expect_seq = first.seq;
-
-    let snapshot = *regs;
-    for (i, u) in chunk.iter().enumerate() {
-        if u.seq != expect_seq {
-            return Err(unencodable(u.seq, "sequence numbers are not dense"));
-        }
-        if u.pc != expect_pc {
-            return Err(unencodable(
-                u.seq,
-                format!("pc {:#x} does not chain from previous next_pc {expect_pc:#x}", u.pc),
-            ));
-        }
-        let word = encode(&u.inst);
-        match dict.get(&u.pc) {
-            None => {
-                dict.insert(u.pc, word);
-            }
-            Some(&w) if w == word => {}
-            Some(_) => {
-                return Err(unencodable(u.seq, "two different instructions at one pc"));
-            }
-        }
-        if u.next_pc != u.pc.wrapping_add(4) {
-            bitmap[i / 8] |= 1 << (i % 8);
-            put_delta(&mut targets, u.pc.wrapping_add(4), u.next_pc);
-        }
-        match (mem_shape(&u.inst), u.mem) {
-            (None, None) => {}
-            (Some((size, is_store)), Some(m)) if m.size == size && m.is_store == is_store => {
-                put_delta(&mut addrs, prev_addr, m.addr);
-                prev_addr = m.addr;
-            }
-            _ => {
-                return Err(unencodable(
-                    u.seq,
-                    "memory access does not match the instruction's shape",
-                ));
-            }
-        }
-        match (derive_rd(&u.inst, u.pc, regs), u.rd_value) {
-            (DerivedRd::None, None) => {}
-            (DerivedRd::Value(rd, v), Some(actual)) if v == actual => {
-                if !rd.is_zero() {
-                    regs[rd.index()] = v;
-                }
-            }
-            (DerivedRd::Load(rd), Some(v)) => {
-                put_delta(&mut loads, prev_load, v);
-                prev_load = v;
-                if !rd.is_zero() {
-                    regs[rd.index()] = v;
-                }
-            }
-            _ => {
-                return Err(unencodable(
-                    u.seq,
-                    "destination value does not match ISA semantics",
-                ));
-            }
-        }
-        expect_pc = u.next_pc;
-        expect_seq = u.seq + 1;
-    }
-
-    // Assemble the payload.
-    let mut payload = Vec::with_capacity(
-        64 + 256 + dict.len() * 9 + bitmap.len() + targets.len() + addrs.len() + loads.len(),
-    );
-    payload.extend_from_slice(&(chunk.len() as u32).to_le_bytes());
-    payload.extend_from_slice(&first.seq.to_le_bytes());
-    payload.extend_from_slice(&first.pc.to_le_bytes());
-    for v in snapshot {
-        payload.extend_from_slice(&v.to_le_bytes());
-    }
-    // Dictionary: count, then (pc-delta varint, word u32 LE) sorted by pc.
-    let mut dict_stream = Vec::with_capacity(dict.len() * 9);
-    put_varint(&mut dict_stream, dict.len() as u64);
-    let mut prev_pc = 0u64;
-    for (&pc, &word) in &dict {
-        put_varint(&mut dict_stream, pc.wrapping_sub(prev_pc));
-        dict_stream.extend_from_slice(&word.to_le_bytes());
-        prev_pc = pc;
-    }
-    for stream in [&dict_stream, &bitmap, &targets, &addrs, &loads] {
-        put_varint(&mut payload, stream.len() as u64);
-        payload.extend_from_slice(stream);
-    }
-    Ok(payload)
+    enc.finish(output, name, w)
 }
 
 // --- decoding -------------------------------------------------------------
@@ -783,7 +921,7 @@ impl<R: Read> Iterator for BlockReplay<R> {
 impl<R: Read> ExactSizeIterator for BlockReplay<R> {}
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::RecordedTrace;
     use helios_isa::parse_asm;
@@ -834,6 +972,22 @@ mod tests {
             assert_eq!(header.output, t.output());
             assert_eq!(header.stamp, t.stamp());
             assert_eq!(header.name, "rich");
+        }
+    }
+
+    #[test]
+    fn streaming_encoder_matches_encode_v2_bytes() {
+        let t = rich_trace();
+        for block in [1u32, 7, DEFAULT_BLOCK_UOPS] {
+            // Fed straight from a live emulator, one µ-op at a time.
+            let mut enc = Encoder::new(block);
+            for u in crate::RetireStream::new(parse_asm(RICH).unwrap(), 1000) {
+                enc.push(&u).unwrap();
+            }
+            let mut streamed = Vec::new();
+            let written = enc.finish(t.output(), "rich", &mut streamed).unwrap();
+            assert_eq!(written as usize, streamed.len());
+            assert_eq!(streamed, encode_to_vec(&t, block), "block size {block}");
         }
     }
 
@@ -919,6 +1073,46 @@ mod tests {
     }
 
     #[test]
+    fn rejected_uop_leaves_the_encoder_unchanged() {
+        let t = rich_trace();
+        let clean = encode_to_vec(&t, 8);
+        const LOAD: MemAccess = MemAccess {
+            addr: 0,
+            size: 8,
+            is_store: false,
+        };
+        // Broken chaining, sequence, memory presence and rd presence.
+        let breaks: [fn(&mut Retired); 4] = [
+            |u| u.pc ^= 8,
+            |u| u.seq += 1,
+            |u| u.mem = u.mem.xor(Some(LOAD)),
+            |u| u.rd_value = u.rd_value.xor(Some(1)),
+        ];
+        for at in 0..t.len() {
+            let mut enc = Encoder::new(8);
+            for (i, u) in t.uops().iter().enumerate() {
+                if i == at {
+                    for broken in breaks {
+                        let mut bad = *u;
+                        broken(&mut bad);
+                        // Only the first µ-op of a block is not checked
+                        // against its predecessor.
+                        if enc.push(&bad).is_ok() {
+                            assert!(i % 8 == 0, "µ-op {i} accepted as {bad:?}");
+                            enc = Encoder::new(8);
+                            t.uops()[..i].iter().for_each(|u| enc.push(u).unwrap());
+                        }
+                    }
+                }
+                enc.push(u).unwrap();
+            }
+            let mut buf = Vec::new();
+            enc.finish(t.output(), "rich", &mut buf).unwrap();
+            assert_eq!(buf, clean, "after rejections at µ-op {at}");
+        }
+    }
+
+    #[test]
     fn block_replay_streams_identically() {
         let t = rich_trace();
         let dir = std::env::temp_dir().join(format!("helios-codec-br-{}", std::process::id()));
@@ -937,13 +1131,17 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_report_format_version() {
-        let mut v1 = encode_to_vec(&rich_trace(), 8);
-        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert!(matches!(
-            read_header(&mut v1.as_slice()),
-            Err(TraceIoError::FormatVersion { found: 1, want: 2 })
-        ));
+    fn older_versions_report_format_version() {
+        // Version 1 was the raw-record format; version 2 carried the
+        // byte-wise FNV content stamp.
+        for old in [1u16, 2] {
+            let mut bytes = encode_to_vec(&rich_trace(), 8);
+            bytes[4..6].copy_from_slice(&old.to_le_bytes());
+            assert!(matches!(
+                read_header(&mut bytes.as_slice()),
+                Err(TraceIoError::FormatVersion { found, want: FORMAT_VERSION }) if found == old
+            ));
+        }
     }
 
     #[test]
@@ -962,7 +1160,7 @@ mod tests {
             read(&bad),
             Err(TraceIoError::FormatVersion {
                 found: 0xEE,
-                want: 2
+                want: FORMAT_VERSION
             })
         ));
 
@@ -1068,17 +1266,25 @@ mod tests {
     #[global_allocator]
     static ALLOC: LargestAlloc = LargestAlloc;
 
+    /// Runs `f` and returns its result with the largest single allocation
+    /// this thread requested meanwhile.
+    pub(crate) fn largest_alloc<T>(f: impl FnOnce() -> T) -> (T, usize) {
+        LARGEST.with(|m| m.set(Some(0)));
+        let out = f();
+        (out, LARGEST.with(|m| m.replace(None)).unwrap_or(0))
+    }
+
     /// Runs both decoders over `bytes` and returns the largest single
     /// allocation they requested. A panic fails the test with the case.
     fn decode_everything(case: &str, bytes: &[u8]) -> usize {
-        LARGEST.with(|m| m.set(Some(0)));
-        let run = std::panic::catch_unwind(|| {
-            let _ = decode_all(&mut &bytes[..]);
-            if let Ok(mut replay) = BlockReplay::over(bytes, Path::new(case)) {
-                while let Ok(true) = replay.next_block() {}
-            }
+        let (run, largest) = largest_alloc(|| {
+            std::panic::catch_unwind(|| {
+                let _ = decode_all(&mut &bytes[..]);
+                if let Ok(mut replay) = BlockReplay::over(bytes, Path::new(case)) {
+                    while let Ok(true) = replay.next_block() {}
+                }
+            })
         });
-        let largest = LARGEST.with(|m| m.replace(None)).unwrap_or(0);
         if run.is_err() {
             panic!("decoder panicked on {case}: {bytes:02x?}");
         }

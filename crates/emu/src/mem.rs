@@ -93,18 +93,32 @@ impl Memory {
         }
     }
 
-    /// Copies a byte slice into memory at `addr`.
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), b);
+    /// Copies a byte slice into memory at `addr`, one page-sized chunk per
+    /// page lookup.
+    pub fn write_bytes(&mut self, mut addr: u64, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let off = (addr as usize) & (PAGE_SIZE - 1);
+            let n = bytes.len().min(PAGE_SIZE - off);
+            self.page_mut(addr)[off..off + n].copy_from_slice(&bytes[..n]);
+            addr = addr.wrapping_add(n as u64);
+            bytes = &bytes[n..];
         }
     }
 
-    /// Reads `len` bytes starting at `addr`.
-    pub fn read_bytes(&self, addr: u64, len: usize) -> Vec<u8> {
-        (0..len)
-            .map(|i| self.read_u8(addr.wrapping_add(i as u64)))
-            .collect()
+    /// Reads `len` bytes starting at `addr`, one page-sized chunk per page
+    /// lookup.
+    pub fn read_bytes(&self, mut addr: u64, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            let off = (addr as usize) & (PAGE_SIZE - 1);
+            let n = (len - out.len()).min(PAGE_SIZE - off);
+            match self.page(addr) {
+                Some(p) => out.extend_from_slice(&p[off..off + n]),
+                None => out.resize(out.len() + n, 0),
+            }
+            addr = addr.wrapping_add(n as u64);
+        }
+        out
     }
 }
 
@@ -151,5 +165,36 @@ mod tests {
         let mut m = Memory::new();
         m.write_bytes(0xfff, &[9, 8, 7]);
         assert_eq!(m.read_bytes(0xfff, 3), vec![9, 8, 7]);
+    }
+
+    #[test]
+    fn multi_page_bytes_roundtrip() {
+        let mut m = Memory::new();
+        // Starts mid-page and spans three page boundaries.
+        let start = 0x3000 - 5;
+        let bytes: Vec<u8> = (0..3 * PAGE_SIZE + 17).map(|i| (i * 7 + 3) as u8).collect();
+        m.write_bytes(start, &bytes);
+        assert_eq!(m.resident_pages(), 5);
+        assert_eq!(m.read_bytes(start, bytes.len()), bytes);
+        for (i, &b) in bytes.iter().enumerate().step_by(511) {
+            assert_eq!(m.read_u8(start + i as u64), b, "byte {i}");
+        }
+        // A read running off the written range into never-touched pages
+        // yields zeroes there and maps nothing.
+        let tail = m.read_bytes(start + bytes.len() as u64 - 3, 2 * PAGE_SIZE);
+        assert_eq!(&tail[..3], &bytes[bytes.len() - 3..]);
+        assert!(tail[3..].iter().all(|&b| b == 0));
+        assert_eq!(m.resident_pages(), 5);
+        // Writing nothing maps nothing.
+        m.write_bytes(0x10_0000, &[]);
+        assert_eq!(m.resident_pages(), 5);
+    }
+
+    #[test]
+    fn bytes_wrap_around_the_address_space() {
+        let mut m = Memory::new();
+        m.write_bytes(u64::MAX - 1, &[1, 2, 3, 4]);
+        assert_eq!(m.read_bytes(u64::MAX - 1, 4), vec![1, 2, 3, 4]);
+        assert_eq!(m.read_u8(1), 4);
     }
 }

@@ -10,14 +10,16 @@
 //! * **Hit** — the keyed file exists and its framing verifies (header plus
 //!   every block checksum); the caller gets a [`Trace`] that replays
 //!   straight off disk, block-at-a-time.
-//! * **Miss** — the caller takes the per-key lock file, records the
-//!   program, encodes to a temp file, and atomically renames it into
-//!   place. Concurrent workers (threads *or* processes) wanting the same
-//!   key wait on the lock and then hit; a workload is never recorded
-//!   twice.
-//! * **Corrupt** — a file that fails verification is quarantined (renamed
-//!   to `*.corrupt`) and re-recorded, exactly like the sweep cache's
-//!   discard-and-re-record policy. `trace gc` reclaims quarantine.
+//! * **Miss** — the caller takes the per-key lock file, runs the program
+//!   straight into the streaming [`codec::Encoder`] (which keeps encoded
+//!   blocks, never a whole-trace `Vec<Retired>`), writes a temp file, and
+//!   atomically renames it into place. Concurrent workers
+//!   (threads *or* processes) wanting the same key wait on the lock and
+//!   then hit; a workload is never recorded twice.
+//! * **Corrupt** — a file that fails verification (an older format
+//!   version included) is quarantined (renamed to `*.corrupt`) and
+//!   re-recorded, exactly like the sweep cache's discard-and-re-record
+//!   policy. `trace gc` reclaims quarantine.
 //!
 //! [`Trace`] / [`Replay`] unify the two ways a µ-op sequence can live —
 //! in memory ([`RecordedTrace`]) or on disk (streamed [`BlockReplay`]) —
@@ -25,7 +27,7 @@
 //! they were handed.
 
 use crate::codec::{self, BlockReplay, Htrc2Header, DEFAULT_BLOCK_UOPS};
-use crate::record::Fnv;
+use crate::record::{self, Fnv};
 use crate::{EmuError, RecordedTrace, TraceIoError, TraceReplay, TraceStamp};
 use helios_isa::{Program, ISA_VERSION};
 use std::fmt;
@@ -93,9 +95,9 @@ impl Trace {
         }
     }
 
-    /// The trace's semantic integrity stamp ([`ISA_VERSION`] + FNV content
-    /// checksum) — identical for the same recording whether it lives in
-    /// memory or in an HTRC2 file.
+    /// The trace's semantic integrity stamp ([`ISA_VERSION`] + content
+    /// hash) — identical for the same recording whether it lives in memory
+    /// or in an HTRC2 file.
     pub fn stamp(&self) -> TraceStamp {
         match self {
             Trace::Memory(t) => t.stamp(),
@@ -198,6 +200,12 @@ impl fmt::Display for StoreError {
 }
 
 impl std::error::Error for StoreError {}
+
+impl From<EmuError> for StoreError {
+    fn from(e: EmuError) -> StoreError {
+        StoreError::Record(e)
+    }
+}
 
 impl From<io::Error> for StoreError {
     fn from(e: io::Error) -> StoreError {
@@ -437,9 +445,13 @@ impl TraceStore {
         }
     }
 
-    /// Records the keyed trace while holding its lock. The temp file is
-    /// named by digest, like the lock, so two recordings of different
-    /// programs under one workload name never share a temp inode.
+    /// Records the keyed trace while holding its lock, running the emulator
+    /// straight into the streaming [`codec::Encoder`]: no whole-trace
+    /// `Retired` buffer exists, and the temp file is created only once the
+    /// program has halted, so a failed recording leaves nothing behind.
+    /// The temp file is named by digest, like the lock, so two recordings
+    /// of different programs under one workload name never share a temp
+    /// inode.
     fn record_locked(
         &self,
         name: &str,
@@ -448,7 +460,14 @@ impl TraceStore {
         digest: u64,
     ) -> Result<Trace, StoreError> {
         let path = self.keyed_path(digest);
-        let rec = RecordedTrace::capture(program.clone(), fuel).map_err(StoreError::Record)?;
+        let encode_error = |e| match e {
+            TraceIoError::Io(io) => StoreError::Io(io),
+            other => StoreError::Encode(other),
+        };
+        let mut enc = codec::Encoder::new(self.inner.block_uops);
+        let output = record::run(program.clone(), fuel, |u| {
+            enc.push(&u).map_err(encode_error)
+        })?;
         self.inner.recorded.fetch_add(1, Ordering::Relaxed);
         let tmp = self
             .inner
@@ -456,17 +475,7 @@ impl TraceStore {
             .join(format!("{digest:016x}.{}.tmp", std::process::id()));
         let result: Result<(), StoreError> = (|| {
             let mut f = io::BufWriter::new(std::fs::File::create(&tmp)?);
-            codec::encode_v2(
-                rec.uops(),
-                rec.output(),
-                name,
-                self.inner.block_uops,
-                &mut f,
-            )
-            .map_err(|e| match e {
-                TraceIoError::Io(io) => StoreError::Io(io),
-                other => StoreError::Encode(other),
-            })?;
+            enc.finish(&output, name, &mut f).map_err(encode_error)?;
             use std::io::Write as _;
             f.flush()?;
             std::fs::rename(&tmp, &path)?;
@@ -742,6 +751,106 @@ mod tests {
         assert_eq!(x, y);
         assert_eq!(a.len(), x.len() as u64);
         assert_eq!(a.output(), direct.output());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn store_file_is_encode_v2_of_the_recording() {
+        // The store runs the emulator straight into the streaming encoder.
+        // Over several blocks, its file must be byte for byte what
+        // `encode_v2` makes of an in-memory recording, and the on-disk and
+        // in-memory stamps must agree.
+        let dir = scratch("bytes");
+        let store = TraceStore::open_tuned(&dir, 7, DEFAULT_LOCK_TIMEOUT).unwrap();
+        let prog = parse_asm(RICH).unwrap();
+        let disk = store.get_or_record("rich", &prog, 1000).unwrap();
+        let Trace::Memory(rec) = Trace::record(prog.clone(), 1000).unwrap() else {
+            unreachable!("Trace::record records in memory")
+        };
+        assert!(rec.len() > 3 * 7, "spans several blocks");
+        let mut want = Vec::new();
+        codec::encode_v2(rec.uops(), rec.output(), "rich", 7, &mut want).unwrap();
+        let got = std::fs::read(store.keyed_path(TraceStore::digest(&prog))).unwrap();
+        assert_eq!(got, want);
+        assert_eq!(disk.stamp(), rec.stamp());
+        let (header, uops) = codec::decode_all(&mut got.as_slice()).unwrap();
+        assert_eq!(header.stamp, rec.stamp());
+        assert_eq!(uops, rec.uops());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn previous_format_version_is_quarantined_and_rerecorded() {
+        // Format 2 carried the byte-wise FNV stamp. Such a file must be
+        // re-recorded, not replayed or reported as a stamp mismatch.
+        let dir = scratch("oldfmt");
+        let prog = parse_asm(RICH).unwrap();
+        let path = {
+            let store = TraceStore::open(&dir).unwrap();
+            store.get_or_record("rich", &prog, 1000).unwrap();
+            store.keyed_path(TraceStore::digest(&prog))
+        };
+        let mut raw = std::fs::read(&path).unwrap();
+        raw[4..6].copy_from_slice(&2u16.to_le_bytes());
+        std::fs::write(&path, &raw).unwrap();
+        assert!(matches!(
+            codec::verify_file(&path),
+            Err(TraceIoError::FormatVersion { found: 2, .. })
+        ));
+
+        let store = TraceStore::open(&dir).unwrap();
+        let t = store.get_or_record("rich", &prog, 1000).unwrap();
+        assert_eq!(
+            store.stats(),
+            StoreStats {
+                recorded: 1,
+                hits: 0,
+                quarantined: 1,
+            }
+        );
+        assert_eq!(t.stamp(), Trace::record(prog, 1000).unwrap().stamp());
+        assert!(path.with_extension("htrc2.corrupt").exists());
+        codec::verify_file(&path).expect("re-recorded file verifies");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn out_of_fuel_mid_stream_leaves_nothing_behind() {
+        // 16-µ-op blocks: several are sealed before the fuel runs out.
+        let dir = scratch("fuel");
+        let store = TraceStore::open_tuned(&dir, 16, DEFAULT_LOCK_TIMEOUT).unwrap();
+        let prog = parse_asm("top: j top").unwrap();
+        let err = store.get_or_record("spin", &prog, 100).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::Record(EmuError::OutOfFuel { executed: 100 })
+            ),
+            "{err}"
+        );
+        let left: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(left.is_empty(), "no temp, trace or lock file: {left:?}");
+        assert_eq!(store.stats(), StoreStats::default());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recording_holds_at_most_a_few_blocks() {
+        // ~1 M µ-ops: a whole-trace `Vec<Retired>` would be a single 72 MB
+        // allocation. Streaming keeps every allocation within a few blocks'
+        // worth of `Retired` records, however long the trace.
+        let dir = scratch("bounded");
+        let store = TraceStore::open(&dir).unwrap();
+        let prog = parse_asm("li a0, 500000\ntop: addi a0, a0, -1\nbnez a0, top\nebreak").unwrap();
+        let (trace, largest) = crate::codec::tests::largest_alloc(|| {
+            store.get_or_record("spin", &prog, 2_000_000).unwrap()
+        });
+        assert!(trace.len() >= 1_000_000, "{} µ-ops", trace.len());
+        let bound = 4 * DEFAULT_BLOCK_UOPS as usize * std::mem::size_of::<crate::Retired>();
+        assert!(largest <= bound, "largest {largest} B > {bound} B");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -11,6 +11,19 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> cargo test --workspace --exclude helios -q"
+# The root `cargo test` runs only the helios package; the member crates'
+# own suites (the HTRC2 decoder fuzzer and its pinned crashers, the trace
+# store's race and bounded-recording tests, the isa/emu/core proptests,
+# the uarch pipeline tests, sweepd's server tests) run here.
+cargo test --workspace --exclude helios -q
+
+echo "==> bench package tests"
+# The benchmark is a package of its own (an empty [workspace] table), so
+# --workspace does not reach it; build it into the workspace target dir.
+CARGO_TARGET_DIR="$PWD/target" cargo test --release --offline -q \
+    --manifest-path crates/bench/src/bin/bench/Cargo.toml
+
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
