@@ -102,8 +102,9 @@ pub fn parse_opts_with(known: &[ExtraFlag]) -> SweepOpts {
     while i < args.len() {
         match args[i].as_str() {
             "--quick" => quick = true,
-            // Must be set before any worker thread builds a pipeline; flag
-            // parsing happens first thing in main, so it is.
+            // Must be set before the first sweep cell reads it
+            // (`helios::profiling`); flag parsing happens first thing in
+            // main, so it is.
             "--profile" => std::env::set_var("HELIOS_PROFILE", "1"),
             "--cell-timeout" => {
                 i += 1;
@@ -332,7 +333,7 @@ pub fn finalize_sweep_report(mut report: Report, sweep: &Sweep) -> ! {
 /// byte-identical.
 pub fn emit_profile_report() {
     use helios_uarch::profile;
-    if !profile::enabled() {
+    if !helios::profiling() {
         return;
     }
     let Some(snap) = profile::take_global() else {

@@ -19,29 +19,23 @@
 //! * **Register file**: free list + in-flight allocations = PRF capacity.
 //! * **Occupancy**: ROB/IQ/LQ/SQ/AQ never exceed `PipeConfig` sizes.
 //!
-//! The checker is opt-in (`Pipeline::attach_checker`) and is driven from
-//! `try_run`; the expensive whole-structure scans run every
-//! [`SCAN_PERIOD`] cycles, the O(1) checks every cycle.
+//! The checker is opt-in (`Pipeline::attach_checker`). It is a probe
+//! (`crate::probe`): it verifies each commit event as the commit stage
+//! emits it, so a pipeline stepped with `Pipeline::cycle` is checked as
+//! fully as one driven by `try_run`. `try_run` surfaces the first
+//! violation on the cycle it happened and runs the structural checks: the
+//! O(1) ones every cycle, the whole-structure scans every [`SCAN_PERIOD`]
+//! cycles.
 
 use crate::error::{InvariantReport, SimError};
 use crate::pipeline::Pipeline;
+use crate::probe::{CommitRecord, Probe};
 use helios_emu::{Retired, UopSource};
 use helios_isa::Inst;
 use std::collections::HashMap;
 
 /// Cycles between full-structure invariant scans (ROB/AQ walks).
 const SCAN_PERIOD: u64 = 256;
-
-/// One committed µ-op as seen by the commit stage: the head identity plus
-/// the absorbed tail, if the µ-op retired as a fused pair.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct CommitRecord {
-    pub seq: u64,
-    pub pc: u64,
-    pub inst: Inst,
-    /// `(tail_seq, tail_pc, tail_inst)` of an absorbed tail nucleus.
-    pub tail: Option<(u64, u64, Inst)>,
-}
 
 /// Replays the emulator's retired trace in lockstep with the commit stage.
 pub struct OracleChecker {
@@ -51,6 +45,10 @@ pub struct OracleChecker {
     /// Tails absorbed by already-committed fused heads, keyed by seq; they
     /// account for their trace records when commit order reaches them.
     absorbed: HashMap<u64, (u64, Inst)>,
+    /// Commit records verified so far (`SimStats::oracle_checked`).
+    checked: u64,
+    /// The first violation; no commit after it is checked.
+    failure: Option<String>,
 }
 
 impl OracleChecker {
@@ -61,7 +59,14 @@ impl OracleChecker {
             oracle: Box::new(oracle),
             next_seq: 0,
             absorbed: HashMap::new(),
+            checked: 0,
+            failure: None,
         }
+    }
+
+    /// Commit records verified so far.
+    pub(crate) fn checked(&self) -> u64 {
+        self.checked
     }
 
     /// The next oracle record, which must exist while commits keep arriving.
@@ -177,59 +182,49 @@ impl OracleChecker {
     }
 }
 
+impl Probe for OracleChecker {
+    fn committed(&mut self, c: &CommitRecord, _now: u64) {
+        if self.failure.is_none() {
+            match self.advance(c) {
+                Ok(()) => self.checked += 1,
+                Err(what) => self.failure = Some(what),
+            }
+        }
+    }
+
+    /// The next full-structure scan cycle: an idle skip lands on it, so
+    /// `try_run` scans the (unchanged) idle state there.
+    fn next_due(&self, now: u64) -> u64 {
+        (now + 1).next_multiple_of(SCAN_PERIOD)
+    }
+}
+
 impl<I: UopSource> Pipeline<I> {
     /// Attaches a lockstep oracle checker that replays `oracle` — an
     /// independent iteration of the same retired trace the pipeline
     /// consumes — and validates every commit against it. Violations surface
     /// as `SimError::InvariantViolation` from [`Pipeline::try_run`].
     pub fn attach_checker(&mut self, oracle: impl Iterator<Item = Retired> + 'static) {
-        self.checker = Some(OracleChecker::new(oracle));
+        self.attach_probe(OracleChecker::new(oracle));
     }
 
-    /// Whether a checker is attached (commit records are being collected).
-    pub(crate) fn checking(&self) -> bool {
-        self.checker.is_some()
-    }
-
-    /// Runs the checker over this cycle's commit records plus the structural
-    /// invariants. Returns the first violation found.
-    pub(crate) fn verify_cycle(&mut self) -> Option<SimError> {
-        self.checker.as_ref()?;
-        let records = std::mem::take(&mut self.commit_log);
-        let mut checker = self.checker.take().expect("guarded above");
-        let mut failure: Option<String> = None;
-        for c in &records {
-            if let Err(what) = checker.advance(c) {
-                failure = Some(what);
-                break;
-            }
-            self.stats.oracle_checked += 1;
-        }
-        self.checker = Some(checker);
-        if failure.is_none() {
-            failure = self.structural_violation();
-        }
-        failure.map(|what| self.invariant_error(what))
+    /// The checker's first violation, else the structural invariants.
+    /// Returns nothing without a checker attached.
+    pub(crate) fn verify_cycle(&self) -> Option<SimError> {
+        let failure = self.probe::<OracleChecker>()?.failure.clone();
+        let what = failure.or_else(|| self.structural_violation())?;
+        Some(self.invariant_error(what))
     }
 
     /// End-of-run oracle drain; call once the pipeline has fully drained.
+    /// A violation found earlier (in a stepped run) is reported first.
     pub(crate) fn verify_finish(&mut self) -> Option<SimError> {
-        let mut checker = self.checker.take()?;
-        let result = checker.finish();
-        self.checker = Some(checker);
-        result.err().map(|what| self.invariant_error(what))
-    }
-
-    /// The first cycle an idle skip starting at cycle `from` must not jump
-    /// past: one after the next full-structure scan, so the skip lands on
-    /// the scan cycle and `verify_cycle` runs the scan there on the
-    /// (unchanged) idle state. `u64::MAX` without a checker.
-    pub(crate) fn scan_horizon(&self, from: u64) -> u64 {
-        if self.checking() {
-            from.next_multiple_of(SCAN_PERIOD) + 1
-        } else {
-            u64::MAX
-        }
+        let checker = self.probe_mut::<OracleChecker>()?;
+        let what = match checker.failure.clone() {
+            Some(what) => what,
+            None => checker.finish().err()?,
+        };
+        Some(self.invariant_error(what))
     }
 
     /// O(1) occupancy checks every cycle; full accounting scans every
@@ -258,8 +253,8 @@ impl<I: UopSource> Pipeline<I> {
     }
 
     /// Whole-structure scans: pending-NCSF census and register-file
-    /// conservation. Also used by the end-of-run check.
-    pub(crate) fn accounting_violation(&self) -> Option<String> {
+    /// conservation.
+    fn accounting_violation(&self) -> Option<String> {
         // `active_pending_ncsf` counts *renamed* pending heads: incremented
         // when a pending head leaves the AQ for the ROB, decremented at its
         // tail marker's rename (validation or unfuse) — so the ROB is the

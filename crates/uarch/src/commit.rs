@@ -3,6 +3,7 @@
 //! store promotion, and statistics.
 
 use crate::pipeline::Pipeline;
+use crate::probe::CommitRecord;
 use helios_core::UchTrainRecord;
 use helios_emu::UopSource;
 
@@ -48,21 +49,7 @@ impl<I: UopSource> Pipeline<I> {
             if let Some(f) = &u.fused {
                 self.atomic_commit_floor = self.atomic_commit_floor.max(f.tail_seq + 1);
             }
-            if self.checking() {
-                self.commit_log.push(crate::check::CommitRecord {
-                    seq: u.seq,
-                    pc: u.pc,
-                    inst: u.inst,
-                    tail: u.fused.map(|f| (f.tail_seq, f.tail_pc, f.tail_inst)),
-                });
-            }
-
-            if self.obs.is_some() {
-                let (now, tail) = (self.now, u.fused.map(|f| f.tail_seq));
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.committed(u.seq, tail, now);
-                }
-            }
+            self.emit(|p, now| p.committed(&CommitRecord::of(&u), now));
 
             // --- Instruction counts. ---
             self.stats.uops += 1;

@@ -113,9 +113,7 @@ impl<I: UopSource> Pipeline<I> {
                 _ => alu -= 1,
             }
             self.record_completion(seq, complete);
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.issued(seq, now, complete);
-            }
+            self.emit(|p, _| p.issued(seq, now, complete));
             // Issued: release the IQ slot and leave the ready list.
             self.iq_slots[slot as usize] = None;
             self.iq_free.push(slot);

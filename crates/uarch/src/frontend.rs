@@ -35,12 +35,7 @@ impl<I: UopSource> Pipeline<I> {
         while budget > 0 && self.aq.len() < self.cfg.aq_size {
             let Some(r) = self.window.fetch() else { break };
             budget -= 1;
-            if self.obs.is_some() {
-                let now = self.now;
-                if let Some(o) = self.obs.as_deref_mut() {
-                    o.fetched(r.seq, r.pc, r.inst, now);
-                }
-            }
+            self.emit(|p, now| p.fetched(r.seq, r.pc, r.inst, now));
 
             // Branch prediction against the oracle outcome.
             let taken = r.control_taken();
@@ -104,9 +99,7 @@ impl<I: UopSource> Pipeline<I> {
                             pending: false,
                             hazards: CatalystHazards::default(),
                         });
-                        if let Some(o) = self.obs.as_deref_mut() {
-                            o.fused(head_seq, r.seq);
-                        }
+                        self.emit(|p, _| p.fused(head_seq, r.seq));
                         // The tail nucleus disappears from the pipeline.
                         return;
                     }
@@ -221,9 +214,7 @@ impl<I: UopSource> Pipeline<I> {
             head_seq,
         });
         self.stats.fusion.predictions += 1;
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.fused(head_seq, r.seq);
-        }
+        self.emit(|p, _| p.fused(head_seq, r.seq));
         true
     }
 
@@ -300,9 +291,7 @@ impl<I: UopSource> Pipeline<I> {
             });
             // Oracle absorbs the tail immediately (upper bound: no
             // validation latency, no Tail marker).
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.fused(head_seq, r.seq);
-            }
+            self.emit(|p, _| p.fused(head_seq, r.seq));
             return true;
         }
         false

@@ -50,6 +50,7 @@ mod frontend;
 mod memdep;
 pub mod obs;
 mod pipeline;
+mod probe;
 pub mod profile;
 mod rename;
 mod stats;

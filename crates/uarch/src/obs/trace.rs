@@ -1,8 +1,9 @@
 //! Opt-in per-µ-op event tracing.
 //!
-//! An [`Observer`] attached via [`crate::Pipeline::attach_observer`] receives
-//! one callback per pipeline event (fetch, rename/dispatch, issue, commit,
-//! fuse, unfuse, squash) plus a per-cycle occupancy sample. It maintains:
+//! An [`Observer`] attached via [`crate::Pipeline::attach_observer`] is a
+//! probe on the pipeline's event stream (`crate::probe`): it receives each
+//! fetch, rename/dispatch, issue, commit, fuse, unfuse and squash event,
+//! plus the occupancy at the end of every cycle. It maintains:
 //!
 //! * event counters that reconcile exactly against [`crate::SimStats`]
 //!   (commit events == `stats.uops`, fused-commit events ==
@@ -12,11 +13,12 @@
 //!   renders to the Konata pipeline-viewer format via
 //!   [`Observer::write_konata`].
 //!
-//! With no observer attached the pipeline pays a single `Option` branch per
-//! event site — the zero-cost-when-off contract checked by the wall-clock
-//! acceptance gate.
+//! With no probe attached the pipeline pays a single branch per event site
+//! — the zero-cost-when-off contract checked by the wall-clock acceptance
+//! gate.
 
 use super::registry::{Histogram, StatsRegistry, Unit};
+use crate::probe::{CommitRecord, Occupancy, Probe};
 use helios_isa::{disassemble, Inst};
 use std::collections::BTreeMap;
 use std::io::{self, Write};
@@ -159,155 +161,6 @@ impl Observer {
     /// The configuration this observer was attached with.
     pub fn opts(&self) -> ObsOpts {
         self.opts
-    }
-
-    // ---- event sinks (called from the pipeline stages) ------------------
-
-    #[inline]
-    pub(crate) fn fetched(&mut self, seq: u64, pc: u64, inst: Inst, now: u64) {
-        self.fetches += 1;
-        let rec = if self.opts.timeline
-            && self
-                .opts
-                .timeline_limit
-                .is_none_or(|cap| (self.recs.len() as u64) < cap)
-        {
-            self.recs.push(UopRec {
-                seq,
-                pc,
-                inst,
-                fetch: now,
-                rename: NONE,
-                issue: NONE,
-                complete: NONE,
-                commit: NONE,
-                squash: NONE,
-                tail_of: None,
-            });
-            (self.recs.len() - 1) as u32
-        } else {
-            NO_REC
-        };
-        self.live.insert(
-            seq,
-            Live {
-                fetch: now,
-                rec,
-                head: None,
-            },
-        );
-    }
-
-    /// `tail` was absorbed into fused head `head` (decode fusion, predictive
-    /// marking, or oracle pairing).
-    #[inline]
-    pub(crate) fn fused(&mut self, head: u64, tail: u64) {
-        self.fuses += 1;
-        if let Some(l) = self.live.get_mut(&tail) {
-            l.head = Some(head);
-            let rec = l.rec;
-            if let Some(r) = self.rec_mut(rec) {
-                r.tail_of = Some(head);
-            }
-        }
-    }
-
-    /// A fused pair headed by `head` was unfused (in-place repair); `tail`
-    /// re-enters the pipeline by re-dispatch or re-fetch.
-    #[inline]
-    pub(crate) fn unfused(&mut self, head: u64, tail: u64) {
-        let _ = head;
-        self.unfuses += 1;
-        if let Some(l) = self.live.get_mut(&tail) {
-            l.head = None;
-        }
-    }
-
-    /// `seq` passed Rename/Dispatch (also covers a tail that re-dispatches
-    /// as its own µ-op after an unfuse — its absorbed state clears here).
-    #[inline]
-    pub(crate) fn renamed(&mut self, seq: u64, now: u64) {
-        self.renames += 1;
-        if let Some(l) = self.live.get_mut(&seq) {
-            l.head = None;
-            let rec = l.rec;
-            if let Some(r) = self.rec_mut(rec) {
-                r.rename = now;
-                r.tail_of = None;
-            }
-        }
-    }
-
-    /// A tail-nucleus marker for `seq` passed Rename (validating its head);
-    /// the instance stays absorbed.
-    #[inline]
-    pub(crate) fn tail_renamed(&mut self, seq: u64, now: u64) {
-        if let Some(l) = self.live.get(&seq) {
-            let rec = l.rec;
-            if let Some(r) = self.rec_mut(rec) {
-                r.rename = now;
-            }
-        }
-    }
-
-    /// `seq` issued at `now`, completing execution at `complete`.
-    #[inline]
-    pub(crate) fn issued(&mut self, seq: u64, now: u64, complete: u64) {
-        self.issues += 1;
-        if let Some(l) = self.live.get(&seq) {
-            let rec = l.rec;
-            if let Some(r) = self.rec_mut(rec) {
-                r.issue = now;
-                r.complete = complete;
-            }
-        }
-    }
-
-    /// Head `seq` retired at `now`; `tail` retired with it if the pair was
-    /// fused at commit.
-    #[inline]
-    pub(crate) fn committed(&mut self, seq: u64, tail: Option<u64>, now: u64) {
-        self.commits += 1;
-        if let Some(l) = self.live.remove(&seq) {
-            self.fetch_to_commit.record(now.saturating_sub(l.fetch));
-            if let Some(r) = self.rec_mut(l.rec) {
-                r.commit = now;
-            }
-        }
-        if let Some(t) = tail {
-            self.fused_commits += 1;
-            if let Some(l) = self.live.remove(&t) {
-                if let Some(r) = self.rec_mut(l.rec) {
-                    r.commit = now;
-                }
-            }
-        }
-    }
-
-    /// Everything with `seq >= restart` was squashed at `now`.
-    pub(crate) fn squashed(&mut self, restart: u64, now: u64) {
-        let dead = self.live.split_off(&restart);
-        for (_, l) in dead {
-            self.squashes += 1;
-            if let Some(r) = self.rec_mut(l.rec) {
-                r.squash = now;
-            }
-        }
-    }
-
-    /// End-of-cycle structure occupancy sample, taken once per cycle for
-    /// `cycles` cycles with unchanged occupancy (more than one for a
-    /// skipped idle stretch).
-    #[inline]
-    pub(crate) fn sample_occupancy(
-        &mut self,
-        (rob, iq, lq, sq): (usize, usize, usize, usize),
-        cycles: u64,
-    ) {
-        self.occ_rob.record_n(rob as u64, cycles);
-        self.occ_iq.record_n(iq as u64, cycles);
-        self.occ_lq.record_n(lq as u64, cycles);
-        self.occ_sq.record_n(sq as u64, cycles);
     }
 
     fn rec_mut(&mut self, rec: u32) -> Option<&mut UopRec> {
@@ -475,10 +328,145 @@ impl Observer {
     }
 }
 
+impl Probe for Observer {
+    fn fetched(&mut self, seq: u64, pc: u64, inst: Inst, now: u64) {
+        self.fetches += 1;
+        let rec = if self.opts.timeline
+            && self
+                .opts
+                .timeline_limit
+                .is_none_or(|cap| (self.recs.len() as u64) < cap)
+        {
+            self.recs.push(UopRec {
+                seq,
+                pc,
+                inst,
+                fetch: now,
+                rename: NONE,
+                issue: NONE,
+                complete: NONE,
+                commit: NONE,
+                squash: NONE,
+                tail_of: None,
+            });
+            (self.recs.len() - 1) as u32
+        } else {
+            NO_REC
+        };
+        self.live.insert(
+            seq,
+            Live {
+                fetch: now,
+                rec,
+                head: None,
+            },
+        );
+    }
+
+    fn fused(&mut self, head: u64, tail: u64) {
+        self.fuses += 1;
+        if let Some(l) = self.live.get_mut(&tail) {
+            l.head = Some(head);
+            let rec = l.rec;
+            if let Some(r) = self.rec_mut(rec) {
+                r.tail_of = Some(head);
+            }
+        }
+    }
+
+    fn unfused(&mut self, _head: u64, tail: u64) {
+        self.unfuses += 1;
+        if let Some(l) = self.live.get_mut(&tail) {
+            l.head = None;
+        }
+    }
+
+    /// `seq` passed Rename/Dispatch (also covers a tail that re-dispatches
+    /// as its own µ-op after an unfuse — its absorbed state clears here).
+    fn renamed(&mut self, seq: u64, now: u64) {
+        self.renames += 1;
+        if let Some(l) = self.live.get_mut(&seq) {
+            l.head = None;
+            let rec = l.rec;
+            if let Some(r) = self.rec_mut(rec) {
+                r.rename = now;
+                r.tail_of = None;
+            }
+        }
+    }
+
+    fn tail_renamed(&mut self, seq: u64, now: u64) {
+        if let Some(l) = self.live.get(&seq) {
+            let rec = l.rec;
+            if let Some(r) = self.rec_mut(rec) {
+                r.rename = now;
+            }
+        }
+    }
+
+    fn issued(&mut self, seq: u64, now: u64, complete: u64) {
+        self.issues += 1;
+        if let Some(l) = self.live.get(&seq) {
+            let rec = l.rec;
+            if let Some(r) = self.rec_mut(rec) {
+                r.issue = now;
+                r.complete = complete;
+            }
+        }
+    }
+
+    /// The head retired at `now`; an absorbed tail retired with it.
+    fn committed(&mut self, c: &CommitRecord, now: u64) {
+        self.commits += 1;
+        if let Some(l) = self.live.remove(&c.seq) {
+            self.fetch_to_commit.record(now.saturating_sub(l.fetch));
+            if let Some(r) = self.rec_mut(l.rec) {
+                r.commit = now;
+            }
+        }
+        if let Some((t, _, _)) = c.tail {
+            self.fused_commits += 1;
+            if let Some(l) = self.live.remove(&t) {
+                if let Some(r) = self.rec_mut(l.rec) {
+                    r.commit = now;
+                }
+            }
+        }
+    }
+
+    fn squashed(&mut self, restart: u64, now: u64) {
+        let dead = self.live.split_off(&restart);
+        for (_, l) in dead {
+            self.squashes += 1;
+            if let Some(r) = self.rec_mut(l.rec) {
+                r.squash = now;
+            }
+        }
+    }
+
+    /// One occupancy sample per ended cycle (`cycles` equal samples for a
+    /// skipped idle stretch).
+    fn cycles_ended(&mut self, (rob, iq, lq, sq): Occupancy, cycles: u64) {
+        self.occ_rob.record_n(rob as u64, cycles);
+        self.occ_iq.record_n(iq as u64, cycles);
+        self.occ_lq.record_n(lq as u64, cycles);
+        self.occ_sq.record_n(sq as u64, cycles);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use helios_isa::Inst;
+
+    fn commit(seq: u64, tail: Option<u64>) -> CommitRecord {
+        CommitRecord {
+            seq,
+            pc: 0x1000 + seq * 4,
+            inst: Inst::NOP,
+            tail: tail.map(|t| (t, 0x1000 + t * 4, Inst::NOP)),
+        }
+    }
 
     fn obs(timeline: bool) -> Observer {
         Observer::new(if timeline {
@@ -494,7 +482,7 @@ mod tests {
         o.fetched(0, 0x1000, Inst::NOP, 5);
         o.fetched(1, 0x1004, Inst::NOP, 5);
         o.fused(0, 1);
-        o.committed(0, Some(1), 25);
+        o.committed(&commit(0, Some(1)), 25);
         assert_eq!(o.commit_events(), 1);
         assert_eq!(o.fused_commit_events(), 1);
         assert_eq!(o.fetch_to_commit().count(), 1);
@@ -516,10 +504,10 @@ mod tests {
         // Refetch after the flush creates a fresh record.
         o.fetched(1, 0x1004, Inst::NOP, 20);
         assert_eq!(o.records().len(), 4);
-        o.committed(0, None, 21);
-        o.committed(1, None, 22);
+        o.committed(&commit(0, None), 21);
+        o.committed(&commit(1, None), 22);
         o.fetched(2, 0x1008, Inst::NOP, 22);
-        o.committed(2, None, 23);
+        o.committed(&commit(2, None), 23);
         assert_eq!(o.commit_events(), 3);
     }
 
@@ -529,7 +517,7 @@ mod tests {
         o.fetched(0, 0x1000, Inst::NOP, 1);
         o.renamed(0, 3);
         o.issued(0, 5, 6);
-        o.committed(0, None, 8);
+        o.committed(&commit(0, None), 8);
         o.fetched(1, 0x1004, Inst::NOP, 2);
         o.squashed(1, 6);
         let mut buf = Vec::new();
@@ -565,8 +553,8 @@ mod tests {
         o.fetched(0, 0x1000, Inst::NOP, 1);
         o.fetched(1, 0x1004, Inst::NOP, 1);
         assert_eq!(o.records().len(), 1);
-        o.committed(0, None, 5);
-        o.committed(1, None, 6);
+        o.committed(&commit(0, None), 5);
+        o.committed(&commit(1, None), 6);
         assert_eq!(o.commit_events(), 2);
     }
 }

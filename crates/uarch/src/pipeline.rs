@@ -10,10 +10,11 @@
 //! `execute`, `commit`); this module owns the state, the main loop, and
 //! flush/repair handling.
 
-use crate::check::{CommitRecord, OracleChecker};
 use crate::error::{DeadlockReport, SimError};
 use crate::fault::FaultInjector;
 use crate::obs::{ObsOpts, Observer, StatsRegistry};
+use crate::probe::Probe;
+use crate::profile::{Stage, StageProfile};
 use crate::{
     AqEntry, BranchPredictor, DynUop, Hierarchy, PipeConfig, SimStats, StoreSets, TraceWindow,
 };
@@ -309,19 +310,14 @@ pub struct Pipeline<I> {
     /// Last cycle Rename/Dispatch moved at least one µ-op (deadlock watchdog).
     pub(crate) last_dispatch_progress: u64,
 
-    // Hardening (opt-in; `None` costs one branch per cycle).
-    /// Lockstep oracle checker (`attach_checker`).
-    pub(crate) checker: Option<OracleChecker>,
-    /// Commit records collected this cycle for the checker.
-    pub(crate) commit_log: Vec<CommitRecord>,
-    /// Deterministic fault injector (`attach_faults`).
+    /// Deterministic fault injector (`attach_faults`; `None` costs one
+    /// branch per cycle).
     pub(crate) fault: Option<FaultInjector>,
-    /// Per-µ-op event observer (`attach_observer`). `None` costs one branch
-    /// per event site — the zero-cost-when-off contract.
-    pub(crate) obs: Option<Box<Observer>>,
-    /// Per-stage wall-clock attribution (`HELIOS_PROFILE=1`). `None` costs
-    /// one branch per cycle.
-    pub(crate) prof: Option<Box<crate::profile::StageProfile>>,
+    /// Read-only instruments on the event stream: the lockstep checker
+    /// (`attach_checker`), the event observer (`attach_observer`) and the
+    /// stage profiler (`attach_profiler`). Empty costs one branch per hook
+    /// site — the zero-cost-when-off contract.
+    pub(crate) probes: Vec<Box<dyn Probe>>,
 
     // Scratch buffers reused across cycles so the per-cycle and per-flush
     // paths stay allocation-free in steady state.
@@ -374,12 +370,8 @@ impl<I: UopSource> Pipeline<I> {
             pending_flushes: Vec::new(),
             store_checks: Vec::new(),
             last_dispatch_progress: 0,
-            checker: None,
-            commit_log: Vec::new(),
             fault: None,
-            obs: None,
-            prof: crate::profile::enabled()
-                .then(|| Box::new(crate::profile::StageProfile::new())),
+            probes: Vec::new(),
             scratch_checks: Vec::new(),
             scratch_undos: Vec::new(),
             scratch_repairs: Vec::new(),
@@ -401,24 +393,27 @@ impl<I: UopSource> Pipeline<I> {
     /// Attaches a per-µ-op event observer (no-op when `opts.enabled` is
     /// false). Replaces any previously attached observer.
     pub fn attach_observer(&mut self, opts: ObsOpts) {
-        self.obs = opts.enabled.then(|| Box::new(Observer::new(opts)));
+        self.detach_probe::<Observer>();
+        if opts.enabled {
+            self.attach_probe(Observer::new(opts));
+        }
     }
 
     /// The attached observer, if any.
     pub fn observer(&self) -> Option<&Observer> {
-        self.obs.as_deref()
+        self.probe()
     }
 
     /// Detaches and returns the observer, if any.
     pub fn take_observer(&mut self) -> Option<Box<Observer>> {
-        self.obs.take()
+        self.detach_probe()
     }
 
     /// The self-describing registry view of the statistics collected so far,
     /// including the attached observer's counters and histograms.
     pub fn registry(&self) -> StatsRegistry {
         let mut reg = self.stats.registry();
-        if let Some(o) = &self.obs {
+        if let Some(o) = self.observer() {
             o.export(&mut reg);
         }
         reg
@@ -439,122 +434,93 @@ impl<I: UopSource> Pipeline<I> {
 
     /// Simulates one cycle.
     pub fn cycle(&mut self) {
-        if self.prof.is_some() {
+        if self.probe::<StageProfile>().is_some() {
             self.cycle_impl::<true>();
         } else {
             self.cycle_impl::<false>();
         }
     }
 
-    /// The cycle body, compiled twice: `PROF = false` is the production hot
-    /// path (the profiling plumbing folds away to plain calls); `PROF = true`
-    /// brackets each stage with monotonic-clock reads for the
-    /// `HELIOS_PROFILE=1` attribution table.
+    /// The cycle body, compiled twice: `TIMED = false` is the production
+    /// hot path; `TIMED = true` brackets each stage with monotonic-clock
+    /// reads and reports the time to the probes (the attached
+    /// [`StageProfile`]).
     ///
     /// Quiescent stages are skipped, not entered (event-driven skipping).
     /// Each gate below replicates the stage's own first-line early-out —
     /// including its side effects (`last_dispatch_progress` for
     /// Rename/Dispatch) — so skipping is timing- and statistics-neutral by
     /// construction.
-    fn cycle_impl<const PROF: bool>(&mut self) {
-        use crate::profile::Stage;
-        let mut prof = if PROF { self.prof.take() } else { None };
+    fn cycle_impl<const TIMED: bool>(&mut self) {
         self.now += 1;
-        if let Some(p) = prof.as_deref_mut() {
-            p.cycle();
-        }
-
         if self
             .ready_events
             .peek()
             .is_some_and(|&std::cmp::Reverse((c, _))| c <= self.now)
         {
-            run_stage(&mut prof, Stage::Wakeup, || self.drain_ready_events());
-        } else {
-            skip_stage(&mut prof, Stage::Wakeup);
+            self.stage::<TIMED>(Stage::Wakeup, Self::drain_ready_events);
         }
+        // Without a completed ROB front nothing can retire, `committed_upto`
+        // cannot advance, and the trace-window release below it is done.
         if self
             .rob
             .front()
             .is_some_and(|e| self.ready_bit(e.uop.seq))
         {
-            run_stage(&mut prof, Stage::Commit, || self.stage_commit());
-        } else {
-            // The ROB front (if any) has not completed: nothing can retire,
-            // `committed_upto` cannot advance, and the trace-window release
-            // below it is already done.
-            skip_stage(&mut prof, Stage::Commit);
+            self.stage::<TIMED>(Stage::Commit, Self::stage_commit);
         }
-        if self.cfg.fusion.predictive() {
-            if self.uch_queue.is_empty() {
-                skip_stage(&mut prof, Stage::UchDrain);
-            } else {
-                // Drain the post-commit decoupling queue into the UCH at its
-                // port rate, training the fusion predictor on discovered
-                // pairs.
-                run_stage(&mut prof, Stage::UchDrain, || {
-                    let fp = &mut self.fp;
-                    self.uch_queue.drain_cycle(
-                        &mut self.uch,
-                        &mut self.uch_seq,
-                        |pc, ghr, d| fp.train(pc, ghr, d),
-                    )
-                });
-            }
+        if self.cfg.fusion.predictive() && !self.uch_queue.is_empty() {
+            // Drain the post-commit decoupling queue into the UCH at its
+            // port rate, training the fusion predictor on discovered pairs.
+            self.stage::<TIMED>(Stage::UchDrain, |p| {
+                let fp = &mut p.fp;
+                p.uch_queue
+                    .drain_cycle(&mut p.uch, &mut p.uch_seq, |pc, ghr, d| fp.train(pc, ghr, d))
+            });
         }
         if self.sq.front().is_some_and(|s| s.senior) {
-            run_stage(&mut prof, Stage::DrainStores, || self.stage_drain_stores());
-        } else {
-            skip_stage(&mut prof, Stage::DrainStores);
+            self.stage::<TIMED>(Stage::DrainStores, Self::stage_drain_stores);
         }
-        if self.store_checks.is_empty() {
-            skip_stage(&mut prof, Stage::StoreChecks);
-        } else {
-            run_stage(&mut prof, Stage::StoreChecks, || self.process_store_checks());
+        if !self.store_checks.is_empty() {
+            self.stage::<TIMED>(Stage::StoreChecks, Self::process_store_checks);
         }
-        if self.pending_flushes.is_empty() {
-            skip_stage(&mut prof, Stage::Flushes);
-        } else {
-            run_stage(&mut prof, Stage::Flushes, || self.process_pending_flushes());
+        if !self.pending_flushes.is_empty() {
+            self.stage::<TIMED>(Stage::Flushes, Self::process_pending_flushes);
         }
-        if self.iq_ready.is_empty() {
-            // No IQ entry is wakeup-ready: the select loop would walk an
-            // empty list. Blocked entries wake via their producers'
-            // completion events, never by being re-polled here.
-            skip_stage(&mut prof, Stage::Issue);
-        } else {
-            run_stage(&mut prof, Stage::Issue, || self.stage_issue());
+        // With no IQ entry wakeup-ready the select loop would walk an empty
+        // list. Blocked entries wake via their producers' completion
+        // events, never by being re-polled here.
+        if !self.iq_ready.is_empty() {
+            self.stage::<TIMED>(Stage::Issue, Self::stage_issue);
         }
         if self.aq.is_empty() {
             // An empty AQ is Rename/Dispatch progress for the dispatch
             // watchdog, exactly as in `stage_rename_dispatch`.
             self.last_dispatch_progress = self.now;
-            skip_stage(&mut prof, Stage::RenameDispatch);
         } else {
-            run_stage(&mut prof, Stage::RenameDispatch, || {
-                self.stage_rename_dispatch()
-            });
+            self.stage::<TIMED>(Stage::RenameDispatch, Self::stage_rename_dispatch);
         }
-        run_stage(&mut prof, Stage::FetchDecode, || self.stage_fetch_decode());
-        run_stage(&mut prof, Stage::Misc, || {
-            self.break_resource_deadlock();
-            if self.fault.is_some() {
-                self.apply_cycle_faults();
+        self.stage::<TIMED>(Stage::FetchDecode, Self::stage_fetch_decode);
+        self.stage::<TIMED>(Stage::Misc, |p| {
+            p.break_resource_deadlock();
+            if p.fault.is_some() {
+                p.apply_cycle_faults();
             }
-            self.sample_occupancy(1);
+            p.end_cycles(1);
         });
-        if PROF {
-            self.prof = prof;
-        }
     }
 
-    /// Feeds the observer's occupancy histograms `cycles` end-of-cycle
-    /// samples of the current ROB/IQ/LQ/SQ occupancy.
-    fn sample_occupancy(&mut self, cycles: u64) {
-        if let Some(o) = self.obs.as_deref_mut() {
-            let occ = (self.rob.len(), self.iq_len, self.lq.len(), self.sq.len());
-            o.sample_occupancy(occ, cycles);
+    /// Runs one pipeline stage; with `TIMED`, reports its wall-clock time
+    /// to the probes.
+    #[inline(always)]
+    fn stage<const TIMED: bool>(&mut self, stage: Stage, run: impl FnOnce(&mut Self)) {
+        if !TIMED {
+            return run(self);
         }
+        let t0 = std::time::Instant::now();
+        run(self);
+        let ns = t0.elapsed().as_nanos() as u64;
+        self.emit(|p, _| p.stage_ran(stage, ns));
     }
 
     /// Cycles Dispatch may starve before the deadlock breaker fires.
@@ -684,9 +650,11 @@ impl<I: UopSource> Pipeline<I> {
     /// Misc would change nothing but per-cycle counters — and if so, how
     /// far the idle stretch reaches. Nothing can change until the horizon:
     /// the earliest due wakeup event, senior-store drain end, store check,
-    /// flush, fetch resume, deadlock-breaker trigger, periodic fault or
-    /// checker scan, capped by `limit` (the cycle budget or watchdog
-    /// cycle), all of which are stepped by `cycle()` as usual.
+    /// flush, fetch resume, deadlock-breaker trigger or periodic fault,
+    /// capped by `limit` (the cycle budget or watchdog cycle), all of which
+    /// are stepped by `cycle()` as usual. The stretch also stops on the
+    /// probes' next due cycle (the checker's next scan), so the run loop
+    /// sees the pipeline there.
     fn idle_stretch(&self, limit: u64) -> Option<IdleStretch> {
         let t = self.now + 1;
         if !self.iq_ready.is_empty()
@@ -732,9 +700,9 @@ impl<I: UopSource> Pipeline<I> {
         if let Some(inj) = &self.fault {
             horizon = horizon.min(inj.next_period_due(self.now));
         }
-        horizon = horizon.min(self.scan_horizon(t));
-        let until = horizon.checked_sub(1).filter(|&u| u >= t)?;
-        Some(IdleStretch {
+        let due = self.probes.iter().map(|p| p.next_due(self.now)).min();
+        let until = horizon.saturating_sub(1).min(due.unwrap_or(u64::MAX));
+        (until >= t).then_some(IdleStretch {
             until,
             fetch_stalled,
             dispatch,
@@ -744,7 +712,8 @@ impl<I: UopSource> Pipeline<I> {
     /// Jumps the clock over an idle stretch, charging each skipped cycle
     /// exactly what `cycle()` would have: the fetch-redirect stall, the
     /// blocked dispatch's stall (or, with the AQ empty, dispatch progress),
-    /// the observer's occupancy samples and the profiler's skip counts.
+    /// and one end-of-cycles event covering the whole stretch for the
+    /// probes.
     fn skip_idle(&mut self, idle: IdleStretch) {
         let cycles = idle.until - self.now;
         self.now = idle.until;
@@ -755,10 +724,7 @@ impl<I: UopSource> Pipeline<I> {
             Some(b) => self.charge_alloc_stall(b, cycles),
             None => self.last_dispatch_progress = self.now,
         }
-        self.sample_occupancy(cycles);
-        if let Some(p) = self.prof.as_deref_mut() {
-            p.idle(cycles, self.cfg.fusion.predictive());
-        }
+        self.end_cycles(cycles);
     }
 
     /// Snapshot of the stuck pipeline for the watchdog report.
@@ -817,10 +783,8 @@ impl<I: UopSource> Pipeline<I> {
         self.stats.l1d_misses = l1m;
         self.stats.l2_misses = l2m;
         self.stats.l3_misses = l3m;
-        // Fold this run's stage attribution into the process-global profile
-        // (once; `take` keeps repeated finalization idempotent).
-        if let Some(p) = self.prof.take() {
-            crate::profile::global_add(&p);
+        if let Some(c) = self.probe::<crate::OracleChecker>() {
+            self.stats.oracle_checked = c.checked();
         }
     }
 
@@ -1117,12 +1081,7 @@ impl<I: UopSource> Pipeline<I> {
             return false; // nothing at or past the clamped restart in flight
         }
         debug_assert!(restart >= self.committed_upto);
-        if self.obs.is_some() {
-            let now = self.now;
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.squashed(restart, now);
-            }
-        }
+        self.emit(|p, now| p.squashed(restart, now));
 
         // Collect rename-undo records from squashed ROB entries and from
         // tail-nucleus RAT updates, then apply them youngest-first.
@@ -1202,8 +1161,9 @@ impl<I: UopSource> Pipeline<I> {
                         let (pred, tail_seq) = (f.pred, f.tail_seq);
                         u.unfuse();
                         self.stats.fusion.record_repair(RepairCase::CatalystFlush);
-                        if let Some(o) = self.obs.as_deref_mut() {
-                            o.unfused(u.seq, tail_seq);
+                        let head = u.seq;
+                        for p in &mut self.probes {
+                            p.unfused(head, tail_seq);
                         }
                         if let Some(meta) = pred {
                             self.fp.resolve(&meta, false);
@@ -1245,9 +1205,7 @@ impl<I: UopSource> Pipeline<I> {
         let Some(f) = self.rob[i].uop.unfuse() else {
             return;
         };
-        if let Some(o) = self.obs.as_deref_mut() {
-            o.unfused(seq, f.tail_seq);
-        }
+        self.emit(|p, _| p.unfused(seq, f.tail_seq));
         // Free the tail's destination register if one was allocated.
         if f.tail_inst.rd().is_some() {
             // Head allocation counted head + tail dests.
@@ -1275,36 +1233,6 @@ impl<I: UopSource> Pipeline<I> {
             self.sq[i].acc2 = None;
         }
         self.stats.fusion.record_repair(case);
-    }
-}
-
-/// Runs one pipeline stage, attributing its wall-clock to `stage` when a
-/// profiler is attached. A free function so `f` can borrow the whole
-/// `Pipeline` while the (taken-out) profiler is updated alongside it.
-#[inline(always)]
-fn run_stage(
-    prof: &mut Option<Box<crate::profile::StageProfile>>,
-    stage: crate::profile::Stage,
-    f: impl FnOnce(),
-) {
-    match prof.as_deref_mut() {
-        Some(p) => {
-            let t0 = std::time::Instant::now();
-            f();
-            p.add(stage, t0);
-        }
-        None => f(),
-    }
-}
-
-/// Records a stage skipped by its quiescence gate (profiled runs only).
-#[inline(always)]
-fn skip_stage(
-    prof: &mut Option<Box<crate::profile::StageProfile>>,
-    stage: crate::profile::Stage,
-) {
-    if let Some(p) = prof.as_deref_mut() {
-        p.skip(stage);
     }
 }
 

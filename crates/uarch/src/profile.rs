@@ -6,18 +6,20 @@
 //! and counts how often the event-driven gates in [`crate::Pipeline::cycle`]
 //! skipped a quiescent stage outright.
 //!
-//! Profiling is opt-in via the `HELIOS_PROFILE=1` environment variable
-//! (the figure binaries' `--profile` flag sets it): with it unset, the
-//! pipeline carries a `None` and the hot path pays one branch per cycle —
-//! the same zero-cost-when-off contract as the observer. With it set, each
-//! stage is bracketed by monotonic-clock reads; per-pipeline totals are
-//! folded into a process-global aggregate when the run finalizes, so a
-//! multi-threaded sweep produces one combined attribution table
-//! (`results/profile.json`).
+//! A [`StageProfile`] is a probe on the pipeline's event stream, attached
+//! explicitly with [`crate::Pipeline::attach_profiler`]. While one is
+//! attached, the cycle loop brackets each stage it runs with
+//! monotonic-clock reads; without one, the loop reads no clock. A stage not
+//! run in a profiled cycle was skipped by its quiescence gate, so skips are
+//! derived: cycles minus runs. The figure binaries' sweep cells attach a
+//! profiler under `--profile` and fold each run into a process-global
+//! aggregate ([`global_add`]), so a multi-threaded sweep produces one
+//! combined attribution table (`results/profile.json`).
 
+use crate::pipeline::Pipeline;
+use crate::probe::{Occupancy, Probe};
+use helios_emu::UopSource;
 use std::sync::Mutex;
-use std::sync::OnceLock;
-use std::time::Instant;
 
 /// The attributed stages, in per-cycle execution order.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -41,7 +43,7 @@ pub enum Stage {
     /// Fetch + Decode + fusion marking (`stage_fetch_decode`).
     FetchDecode,
     /// Everything else in the cycle: deadlock breaker, fault injection,
-    /// observer occupancy sampling.
+    /// the end-of-cycle probe event.
     Misc,
 }
 
@@ -62,80 +64,94 @@ pub const STAGE_NAMES: [&str; STAGE_COUNT] = [
     "misc",
 ];
 
-/// Per-pipeline stage accounting (wall-clock ns, entered count, skip count).
-#[derive(Clone, Debug, Default)]
+/// Per-pipeline stage accounting: wall-clock ns and entered count per
+/// stage, and the cycles profiled.
+#[derive(Clone, Debug)]
 pub struct StageProfile {
     ns: [u64; STAGE_COUNT],
     runs: [u64; STAGE_COUNT],
-    skips: [u64; STAGE_COUNT],
     cycles: u64,
+    /// Whether the UCH drain gate is evaluated at all: only predictive
+    /// fusion modes have one, so other modes neither run nor skip it.
+    uch_drain: bool,
 }
 
 impl StageProfile {
-    /// Fresh, zeroed accounting.
-    pub fn new() -> StageProfile {
-        StageProfile::default()
+    /// Fresh, zeroed accounting; `uch_drain` as in a predictive fusion mode.
+    pub fn new(uch_drain: bool) -> StageProfile {
+        StageProfile {
+            ns: [0; STAGE_COUNT],
+            runs: [0; STAGE_COUNT],
+            cycles: 0,
+            uch_drain,
+        }
     }
 
-    /// Starts a cycle.
-    #[inline]
-    pub fn cycle(&mut self) {
-        self.cycles += 1;
-    }
-
-    /// Attributes the time since `t0` to `stage`.
-    #[inline]
-    pub fn add(&mut self, stage: Stage, t0: Instant) {
-        let i = stage as usize;
-        self.ns[i] += t0.elapsed().as_nanos() as u64;
-        self.runs[i] += 1;
-    }
-
-    /// Records that `stage` was skipped by its quiescence gate this cycle.
-    #[inline]
-    pub fn skip(&mut self, stage: Stage) {
-        self.skips[stage as usize] += 1;
-    }
-
-    /// Records `cycles` idle cycles the run loop jumped over: each counts
-    /// as a cycle in which every stage was skipped, so per-stage
-    /// `runs + skips` still equals the cycle count. `uch_drain` is false
-    /// for non-predictive modes, whose cycles never touch that stage.
-    pub fn idle(&mut self, cycles: u64, uch_drain: bool) {
-        self.cycles += cycles;
-        for (i, skips) in self.skips.iter_mut().enumerate() {
-            if uch_drain || i != Stage::UchDrain as usize {
-                *skips += cycles;
-            }
+    /// This pipeline's accounting as report rows, each stage's skips
+    /// derived as the cycles it was gated in minus its runs.
+    pub fn snapshot(&self) -> ProfileSnapshot {
+        ProfileSnapshot {
+            stages: (0..STAGE_COUNT)
+                .map(|i| {
+                    let gated = self.uch_drain || i != Stage::UchDrain as usize;
+                    StageRow {
+                        stage: STAGE_NAMES[i],
+                        ns: self.ns[i],
+                        runs: self.runs[i],
+                        skips: if gated {
+                            self.cycles.saturating_sub(self.runs[i])
+                        } else {
+                            0
+                        },
+                    }
+                })
+                .collect(),
+            cycles: self.cycles,
         }
     }
 }
 
-/// Process-global aggregate across every profiled pipeline run.
-static GLOBAL: Mutex<StageProfile> = Mutex::new(StageProfile {
-    ns: [0; STAGE_COUNT],
-    runs: [0; STAGE_COUNT],
-    skips: [0; STAGE_COUNT],
-    cycles: 0,
-});
+impl Probe for StageProfile {
+    fn cycles_ended(&mut self, _occ: Occupancy, cycles: u64) {
+        self.cycles += cycles;
+    }
 
-/// Whether profiling was requested for this process (`HELIOS_PROFILE=1`).
-/// Read once; the figure binaries' `--profile` flag sets the variable before
-/// any pipeline is built.
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("HELIOS_PROFILE").is_ok_and(|v| v == "1"))
+    fn stage_ran(&mut self, stage: Stage, ns: u64) {
+        self.ns[stage as usize] += ns;
+        self.runs[stage as usize] += 1;
+    }
 }
+
+impl<I: UopSource> Pipeline<I> {
+    /// Attaches a per-stage profiler, replacing any attached one: from the
+    /// next cycle on, every stage run is timed.
+    pub fn attach_profiler(&mut self) {
+        self.attach_probe(StageProfile::new(self.cfg.fusion.predictive()));
+    }
+
+    /// Detaches and returns the profiler, if any.
+    pub fn take_profile(&mut self) -> Option<Box<StageProfile>> {
+        self.detach_probe()
+    }
+}
+
+/// Process-global aggregate across every profiled pipeline run.
+static GLOBAL: Mutex<Option<ProfileSnapshot>> = Mutex::new(None);
 
 /// Folds one pipeline's accounting into the process-global aggregate.
 pub fn global_add(p: &StageProfile) {
-    let mut g = GLOBAL.lock().unwrap();
-    for i in 0..STAGE_COUNT {
-        g.ns[i] += p.ns[i];
-        g.runs[i] += p.runs[i];
-        g.skips[i] += p.skips[i];
+    let snap = p.snapshot();
+    let mut g = GLOBAL.lock().expect("no holder of the profile lock panics");
+    let Some(g) = g.as_mut() else {
+        *g = Some(snap);
+        return;
+    };
+    for (row, add) in g.stages.iter_mut().zip(&snap.stages) {
+        row.ns += add.ns;
+        row.runs += add.runs;
+        row.skips += add.skips;
     }
-    g.cycles += p.cycles;
+    g.cycles += snap.cycles;
 }
 
 /// One stage's aggregated numbers in a [`ProfileSnapshot`].
@@ -170,57 +186,53 @@ impl ProfileSnapshot {
 /// Takes the process-global aggregate, resetting it. Returns `None` when no
 /// profiled cycles were recorded (profiling off or nothing ran).
 pub fn take_global() -> Option<ProfileSnapshot> {
-    let mut g = GLOBAL.lock().unwrap();
-    if g.cycles == 0 {
-        return None;
-    }
-    let snap = ProfileSnapshot {
-        stages: (0..STAGE_COUNT)
-            .map(|i| StageRow {
-                stage: STAGE_NAMES[i],
-                ns: g.ns[i],
-                runs: g.runs[i],
-                skips: g.skips[i],
-            })
-            .collect(),
-        cycles: g.cycles,
-    };
-    *g = StageProfile::default();
-    Some(snap)
+    GLOBAL
+        .lock()
+        .expect("no holder of the profile lock panics")
+        .take()
+        .filter(|g| g.cycles > 0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn add_and_aggregate() {
-        let mut p = StageProfile::new();
-        p.cycle();
-        let t0 = Instant::now();
-        p.add(Stage::Issue, t0);
-        p.skip(Stage::DrainStores);
-        assert_eq!(p.runs[Stage::Issue as usize], 1);
-        assert_eq!(p.skips[Stage::DrainStores as usize], 1);
-        global_add(&p);
-        let snap = take_global().expect("cycles recorded");
-        assert_eq!(snap.cycles, 1);
-        let issue = snap.stages.iter().find(|s| s.stage == "issue").unwrap();
-        assert_eq!(issue.runs, 1);
-        // Taking drains the aggregate.
-        assert!(take_global().is_none());
+    fn row(snap: &ProfileSnapshot, stage: Stage) -> &StageRow {
+        &snap.stages[stage as usize]
     }
 
     #[test]
-    fn idle_cycles_skip_every_stage() {
-        let mut p = StageProfile::new();
-        p.idle(5, false);
-        p.idle(3, true);
-        assert_eq!(p.cycles, 8);
-        for (i, &skips) in p.skips.iter().enumerate() {
-            let want = if i == Stage::UchDrain as usize { 3 } else { 8 };
-            assert_eq!(skips, want, "{}", STAGE_NAMES[i]);
+    fn skips_are_cycles_minus_runs() {
+        let occ = (0, 0, 0, 0);
+        for uch_drain in [false, true] {
+            let mut p = StageProfile::new(uch_drain);
+            p.stage_ran(Stage::Issue, 7);
+            p.stage_ran(Stage::Misc, 1);
+            p.cycles_ended(occ, 1);
+            // An idle stretch: five cycles with every stage skipped.
+            p.cycles_ended(occ, 5);
+            let snap = p.snapshot();
+            assert_eq!(snap.cycles, 6);
+            let issue = row(&snap, Stage::Issue);
+            assert_eq!((issue.ns, issue.runs, issue.skips), (7, 1, 5));
+            assert_eq!(row(&snap, Stage::Commit).skips, 6);
+            let uch = row(&snap, Stage::UchDrain);
+            assert_eq!((uch.runs, uch.skips), (0, if uch_drain { 6 } else { 0 }));
         }
-        assert_eq!(p.runs, [0; STAGE_COUNT]);
+    }
+
+    #[test]
+    fn global_aggregate_sums_and_drains() {
+        let mut p = StageProfile::new(true);
+        p.stage_ran(Stage::Issue, 3);
+        p.cycles_ended((0, 0, 0, 0), 2);
+        global_add(&p);
+        global_add(&p);
+        let snap = take_global().expect("cycles recorded");
+        assert_eq!(snap.cycles, 4);
+        let issue = row(&snap, Stage::Issue);
+        assert_eq!((issue.ns, issue.runs, issue.skips), (6, 2, 2));
+        // Taking drains the aggregate.
+        assert!(take_global().is_none());
     }
 }

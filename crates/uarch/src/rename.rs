@@ -92,9 +92,7 @@ impl<I: UopSource> Pipeline<I> {
                         if let Some(f) = u.unfuse() {
                             self.revive_tail_marker(&f);
                             self.stats.ncsf_nest_aborts += 1;
-                            if let Some(o) = self.obs.as_deref_mut() {
-                                o.unfused(u.seq, f.tail_seq);
-                            }
+                            self.emit(|p, _| p.unfused(u.seq, f.tail_seq));
                             if let Some(AqEntry::Uop(front)) = self.aq.front_mut() {
                                 front.fused = None;
                             }
@@ -164,12 +162,7 @@ impl<I: UopSource> Pipeline<I> {
     fn alloc_uop(&mut self, u: DynUop) {
         let seq = u.seq;
         let pending = u.is_pending_ncsf();
-        if self.obs.is_some() {
-            let now = self.now;
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.renamed(seq, now);
-            }
-        }
+        self.emit(|p, now| p.renamed(seq, now));
 
         // --- Rename sources. ---
         // For pending NCSF'd µ-ops only the head's sources are captured now;
@@ -470,12 +463,7 @@ impl<I: UopSource> Pipeline<I> {
         if let Some(ff) = self.rob[hi].uop.fused.as_mut() {
             ff.pending = false;
         }
-        if self.obs.is_some() {
-            let now = self.now;
-            if let Some(o) = self.obs.as_deref_mut() {
-                o.tail_renamed(seq, now);
-            }
-        }
+        self.emit(|p, now| p.tail_renamed(seq, now));
         if hz.raw_dep {
             self.stats.fusion.record_repair(RepairCase::RawSourceFix);
         }

@@ -111,6 +111,29 @@ for want in fusion.repair.catalyst_flush obs.fetch_to_commit; do
 done
 echo "inspect smoke: 6 mode blocks, each with fusion.repair.catalyst_flush and obs.fetch_to_commit"
 
+echo "==> profile smoke: --profile times every stage and changes no figure"
+# Under --profile each sweep cell carries a stage-profiler probe. The same
+# one-workload fig10, simulated in two fresh results dirs with and without
+# it, must print byte-identical stdout, and profile.json must hold one row
+# per pipeline stage.
+fig10_crc=(cargo run --release -q -p helios-bench --bin fig10 -- --only crc32 --jobs 2)
+prof_off_dir=$(fresh profile-off)
+prof_on_dir=$(fresh profile-on)
+HELIOS_RESULTS_DIR="$prof_off_dir" "${fig10_crc[@]}" > "$scratch/profile_off.out" 2> /dev/null
+HELIOS_RESULTS_DIR="$prof_on_dir" "${fig10_crc[@]}" --profile \
+    > "$scratch/profile_on.out" 2> /dev/null
+cmp "$scratch/profile_off.out" "$scratch/profile_on.out" || {
+    echo "ci: FAIL — fig10 --profile stdout differs from the unprofiled run" >&2
+    exit 1
+}
+stage_rows=$(python3 -c 'import json, sys; print(len(json.load(open(sys.argv[1]))["rows"]))' \
+    "$prof_on_dir/profile.json")
+if [ "$stage_rows" -ne 10 ]; then
+    echo "ci: FAIL — profile.json holds $stage_rows stage rows, want 10" >&2
+    exit 1
+fi
+echo "profile smoke: stdout byte-identical with --profile, 10 stage rows"
+
 echo "==> resilience smoke: injected chaos must yield a partial, annotated report"
 # One panicking cell and one timing-out cell (both in the --quick set): the
 # sweep must finish every other cell, name both casualties in the JSON

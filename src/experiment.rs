@@ -39,14 +39,14 @@ use crate::store::ResultStore;
 use helios_core::FusionMode;
 use helios_emu::{StoreStats, Trace, TraceStore, UopSource};
 use helios_uarch::{
-    CellChaos, ObsOpts, Observer, PipeConfig, Pipeline, SimError, SimStats, StatsRegistry,
+    profile, CellChaos, ObsOpts, Observer, PipeConfig, Pipeline, SimError, SimStats, StatsRegistry,
 };
 use helios_workloads::Workload;
 use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// One simulation outcome.
@@ -171,24 +171,35 @@ impl<'a> SimRequest<'a> {
     /// Any [`SimError`]; statistics are finalized but discarded, because a
     /// partial result would silently corrupt the figure it feeds.
     pub fn try_run(self) -> Result<SimRun, SimError> {
-        let fuel = self.workload.fuel * self.fuel_factor;
-        let oracle = self.checked.then(|| self.workload.stream());
         match self.trace {
-            Some(t) => {
-                let mut pipe = Pipeline::new(self.cfg, t.replay());
-                if let Some(o) = oracle {
-                    pipe.attach_checker(o);
-                }
-                try_drive(pipe, fuel, self.obs, self.deadline)
-            }
-            None => {
-                let mut pipe = Pipeline::new(self.cfg, self.workload.stream());
-                if let Some(o) = oracle {
-                    pipe.attach_checker(o);
-                }
-                try_drive(pipe, fuel, self.obs, self.deadline)
-            }
+            Some(t) => self.drive(t.replay()),
+            None => self.drive(self.workload.stream()),
         }
+    }
+
+    /// Builds the pipeline over `source`, attaches the requested probes and
+    /// runs it (see [`SimRequest::try_run`]). Under [`profiling`] the run's
+    /// stage profile is folded into the process-global one, whatever the
+    /// outcome.
+    fn drive<I: UopSource>(&self, source: I) -> Result<SimRun, SimError> {
+        let mut pipe = Pipeline::new(self.cfg, source);
+        if self.checked {
+            pipe.attach_checker(self.workload.stream());
+        }
+        pipe.attach_observer(self.obs);
+        if profiling() {
+            pipe.attach_profiler();
+        }
+        let fuel = self.workload.fuel * self.fuel_factor;
+        let outcome = pipe.try_run_deadline(fuel, self.deadline).map(|_| ());
+        if let Some(p) = pipe.take_profile() {
+            profile::global_add(&p);
+        }
+        outcome?;
+        Ok(SimRun {
+            stats: pipe.stats().clone(),
+            observer: pipe.take_observer(),
+        })
     }
 
     /// Runs the simulation to completion.
@@ -206,19 +217,12 @@ impl<'a> SimRequest<'a> {
     }
 }
 
-/// Drives one configured pipeline to completion (see [`SimRequest::try_run`]).
-fn try_drive<I: UopSource>(
-    mut pipe: Pipeline<I>,
-    fuel: u64,
-    obs: ObsOpts,
-    deadline: Option<Instant>,
-) -> Result<SimRun, SimError> {
-    pipe.attach_observer(obs);
-    pipe.try_run_deadline(fuel, deadline)?;
-    Ok(SimRun {
-        stats: pipe.stats().clone(),
-        observer: pipe.take_observer(),
-    })
+/// Whether this process asked for per-stage profiling of its sweep cells
+/// (`HELIOS_PROFILE=1`, which the figure binaries' `--profile` sets before
+/// any cell runs). Read once.
+pub fn profiling() -> bool {
+    static ON: OnceLock<bool> = OnceLock::new();
+    *ON.get_or_init(|| std::env::var("HELIOS_PROFILE").is_ok_and(|v| v == "1"))
 }
 
 /// What a [`SimRequest`] produces: the statistics, plus the observer when

@@ -27,8 +27,8 @@ mod sched;
 mod store;
 
 pub use experiment::{
-    default_jobs, install_interrupt_handler, panic_message, run_sweep_opts, sweep_interrupted,
-    CellOutcome, CellReport, Checkpoint, Progress, RunResult, SimRequest, SimRun, Sweep,
+    default_jobs, install_interrupt_handler, panic_message, profiling, run_sweep_opts,
+    sweep_interrupted, CellOutcome, CellReport, Checkpoint, Progress, RunResult, SimRequest, SimRun, Sweep,
     SweepOptions, SweepPolicy,
 };
 pub use json::{Json, JsonError};

@@ -8,9 +8,11 @@
 //! over the quick workload set in every fusion mode, on starvation-sized
 //! cores (constant dispatch blocking, deadlock-breaker firings), at a
 //! cycle budget that ends inside an idle stretch, at a watchdog hit,
-//! under periodic fault injection, and in the observer's histograms.
+//! under periodic fault injection, in the observer's histograms, with the
+//! lockstep checker attached, and in the stage profiler's accounting.
 
 use helios::{workload, FusionMode, ObsOpts, PipeConfig, SimError, SimStats, UopSource};
+use helios_uarch::profile::{Stage, STAGE_NAMES};
 use helios_uarch::{FaultConfig, Pipeline};
 
 /// The `--quick` figure subset (`helios_bench::QUICK_SET`).
@@ -235,4 +237,99 @@ fn observer_histograms_match_the_stepped_run() {
     let b = stepped(&mut step, limit).map(|s| s.cycles);
     assert_eq!(format!("{a:?}"), format!("{b:?}"));
     assert_eq!(skip.registry(), step.registry());
+}
+
+/// The checker consumes commit events as the commit stage emits them, so a
+/// pipeline stepped with `cycle()` is checked exactly like a `try_run`.
+#[test]
+fn checked_stepped_and_skipping_runs_agree_on_every_statistic() {
+    let modes = [
+        FusionMode::NoFusion,
+        FusionMode::Helios,
+        FusionMode::OracleFusion,
+    ];
+    let cells: Vec<(&str, FusionMode)> = QUICK_SET
+        .iter()
+        .flat_map(|&w| modes.into_iter().map(move |m| (w, m)))
+        .collect();
+    std::thread::scope(|s| {
+        for part in cells.chunks(cells.len().div_ceil(2)) {
+            s.spawn(move || {
+                for &(name, mode) in part {
+                    let w = workload(name).expect("registered workload");
+                    let fuel = w.fuel * 20;
+                    let cfg = PipeConfig::with_fusion(mode);
+                    let mut skip = Pipeline::new(cfg, w.stream());
+                    skip.attach_checker(w.stream());
+                    let skipped = skip
+                        .try_run(fuel)
+                        .unwrap_or_else(|e| panic!("{name}/{}: {e}", mode.name()))
+                        .clone();
+                    let mut step = Pipeline::new(cfg, w.stream());
+                    step.attach_checker(w.stream());
+                    let reference = stepped(&mut step, fuel)
+                        .unwrap_or_else(|e| panic!("{name}/{} stepped: {e}", mode.name()));
+                    assert_eq!(
+                        reference.oracle_checked,
+                        reference.uops,
+                        "{name}/{}",
+                        mode.name()
+                    );
+                    assert_eq!(skipped.to_kv(), reference.to_kv(), "{name}/{}", mode.name());
+                }
+            });
+        }
+    });
+}
+
+/// The stage profiler is a probe like any other: attached in-process, it
+/// leaves every statistic as an unprofiled run has it, and each stage's
+/// runs and skips add up to the cycles profiled — in stepped and in
+/// idle-skipping runs alike. `uch_drain` is gated, and so counted, only
+/// in predictive fusion modes.
+#[test]
+fn profiled_runs_match_unprofiled_statistics_and_account_every_cycle() {
+    for name in ["605.mcf", "fft"] {
+        for mode in [FusionMode::NoFusion, FusionMode::Helios] {
+            let w = workload(name).expect("registered workload");
+            let fuel = w.fuel * 20;
+            let cfg = PipeConfig::with_fusion(mode);
+            let cell = format!("{name}/{}", mode.name());
+            let mut plain = Pipeline::new(cfg, w.stream());
+            let base = plain.try_run(fuel).expect("unprofiled run").to_kv();
+            for step in [false, true] {
+                let mut pipe = Pipeline::new(cfg, w.stream());
+                pipe.attach_profiler();
+                let stats = if step {
+                    stepped(&mut pipe, fuel)
+                } else {
+                    pipe.try_run(fuel).cloned()
+                };
+                let stats = stats.unwrap_or_else(|e| panic!("{cell}: {e}"));
+                assert_eq!(stats.to_kv(), base, "{cell} stepped={step}");
+                let snap = pipe.take_profile().expect("profiler attached").snapshot();
+                assert_eq!(snap.cycles, stats.cycles, "{cell} stepped={step}");
+                for (i, row) in snap.stages.iter().enumerate() {
+                    assert_eq!(row.stage, STAGE_NAMES[i]);
+                    let gated = if i == Stage::UchDrain as usize && !cfg.fusion.predictive() {
+                        0
+                    } else {
+                        stats.cycles
+                    };
+                    assert_eq!(
+                        row.runs + row.skips,
+                        gated,
+                        "{cell} stepped={step} {}",
+                        row.stage
+                    );
+                }
+                let misc = &snap.stages[Stage::Misc as usize];
+                if step {
+                    assert_eq!(misc.skips, 0, "{cell}: a stepped cycle always runs misc");
+                } else {
+                    assert!(misc.skips > 0, "{cell}: no idle stretch was skipped");
+                }
+            }
+        }
+    }
 }
